@@ -31,8 +31,10 @@ class NumericalError(LassodistError):
 class ConvergenceError(NumericalError):
     """Iterative solver stopped before reaching tolerance.
 
-    Carries the best iterate and its residual so callers can inspect how
-    close the solver got.
+    Carries the last iterate and its worst residual so callers can inspect
+    how close the solver got; for a block of draws, also the indices of the
+    draws left above tolerance (``draws``) and their residuals.  Samplers
+    set ``seed`` to the seed of the run that produced the draws.
     """
 
     def __init__(
@@ -41,7 +43,17 @@ class ConvergenceError(NumericalError):
         *,
         beta: np.ndarray | None = None,
         residual: float | None = None,
+        draws: np.ndarray | None = None,
+        residuals: np.ndarray | None = None,
+        seed: object = None,
     ) -> None:
         super().__init__(message)
         self.beta = beta
         self.residual = residual
+        self.draws = draws
+        self.residuals = residuals
+        self.seed = seed
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.seed is None else f"{text} (seed {self.seed})"

@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgWarning as scipy_linalg_warning
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .density import EmpiricalElliptical, Gaussian, StudentT, radial_log_norm
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, ConvergenceError, DataError, NumericalError
 from .problem import ProblemSpec
 from .rng import Seed, generator
 from .samplers import Chain, active_bitmask
-from .solver import solve_lasso_gram
+from .solver import solve_lasso, solve_lasso_gram
 
 __all__ = [
     "SummaryStats",
@@ -312,29 +312,23 @@ def posterior_decision_sample(
     spread = solve_triangular(chol.T, z.T, lower=False).T
     draws = ols + scale * spread * mix[:, None]
 
-    thetas = np.empty((L, spec.p))
-    active = np.empty((L, spec.p), dtype=bool)
     if lam_eff == 0.0:
-        thetas[:] = draws
-        active[:] = draws != 0.0
+        thetas, active, worst = draws, draws != 0.0, 0.0
     else:
-        lam_w = lam_eff * spec.weights
-        for i in range(L):
-            target = spec.gram @ draws[i]
-            beta_t, _ = solve_lasso_gram(
-                spec.gram, target, spec.weights, lam_eff, kkt_tol=kkt_tol
-            )
-            mask = beta_t != 0.0
-            subgrad = (target - spec.gram @ beta_t) / lam_w
-            subgrad[mask] = np.sign(beta_t[mask])
-            np.clip(subgrad, -1.0, 1.0, out=subgrad)
-            thetas[i] = np.where(mask, beta_t, subgrad)
-            active[i] = mask
+        # The decision for a draw b is the lasso fit to the noiseless response X b.
+        try:
+            sol = solve_lasso(replace(spec, lam=lam_eff), draws @ spec.X.T, kkt_tol=kkt_tol)
+        except ConvergenceError as err:
+            err.seed = seed
+            raise
+        thetas = np.where(sol.active, sol.beta_hat, sol.subgrad)
+        active, worst = sol.active, sol.kkt_residual
     return Chain(
         thetas=thetas,
         active=active,
         iterations=np.arange(L),
         seed=seed if isinstance(seed, int) else None,
+        max_kkt_residual=worst,
     )
 
 

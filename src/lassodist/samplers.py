@@ -24,7 +24,7 @@ from .density import (
     state_from_arrays,
     validate_state,
 )
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, ConvergenceError, DataError, NumericalError
 from .problem import ProblemSpec, SweepState, build_sweep_state, sweep_det_ratio
 from .rng import Seed, generator, seed_sequence
 from .solver import solve_lasso
@@ -174,36 +174,31 @@ def direct_sample(
     beta: np.ndarray,
     model: ErrorModel,
     L: int,
-    seed: Seed,
+    seed: Seed | np.random.Generator,
 ) -> Chain:
     """Exact independent draws: simulate noise, solve, keep (beta_hat, S).
 
-    Valid in both regimes (p <= n and p > n).
+    Valid in both regimes (p <= n and p > n).  The noise of all L draws
+    comes from one ``sample_errors`` call and the L responses are solved
+    as one block.  A Generator seed is drawn from as is.
     """
     if L < 1:
         raise ConfigError("need at least one draw")
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (spec.p,):
         raise DataError(f"beta must have shape ({spec.p},), got {beta.shape}")
-    rng = generator(seed)
-    noise = sample_errors(model, spec.n, L, rng)
-    mean = spec.X @ beta
-    thetas = np.empty((L, spec.p))
-    active = np.empty((L, spec.p), dtype=bool)
-    worst = 0.0
-    for i in range(L):
-        sol = solve_lasso(spec, mean + noise[i])
-        mask = sol.beta_hat != 0
-        thetas[i] = np.where(mask, sol.beta_hat, sol.subgrad)
-        active[i] = mask
-        if sol.kkt_residual > worst:
-            worst = sol.kkt_residual
+    noise = sample_errors(model, spec.n, L, generator(seed))
+    try:
+        sol = solve_lasso(spec, spec.X @ beta + noise)
+    except ConvergenceError as err:
+        err.seed = seed
+        raise
     return Chain(
-        thetas=thetas,
-        active=active,
+        thetas=np.where(sol.active, sol.beta_hat, sol.subgrad),
+        active=sol.active,
         iterations=np.arange(L),
         seed=seed if isinstance(seed, int) else None,
-        max_kkt_residual=worst,
+        max_kkt_residual=sol.kkt_residual,
     )
 
 
@@ -571,21 +566,22 @@ def conditional_mh_sample(
     init_seq, moves_seq, _design_seq = seed_sequence(config.seed).spawn(3)
     burn_in = config.burn_in
     if config.equilibrium_init:
+        # Exact draws in growing batches that continue one noise stream; with
+        # Gaussian errors the first hit is the draw a one-at-a-time search finds.
         rng_init = generator(init_seq)
-        theta0 = active0 = None
-        mean = spec.X @ beta
-        for _ in range(max_init_draws):
-            eps = sample_errors(model, spec.n, 1, rng_init)[0]
-            sol = solve_lasso(spec, mean + eps)
-            mask = sol.beta_hat != 0
-            if np.array_equal(mask, target):
-                theta0 = np.where(mask, sol.beta_hat, sol.subgrad)
-                active0 = mask
-                break
+        theta0, tried, size = None, 0, 16
+        while theta0 is None and tried < max_init_draws:
+            batch = direct_sample(spec, beta, model, min(size, max_init_draws - tried), rng_init)
+            hits = np.flatnonzero(np.all(batch.active == target, axis=1))
+            if hits.size:
+                theta0 = batch.thetas[hits[0]]
+            tried += len(batch)
+            size *= 2
         if theta0 is None:
             raise NumericalError(
                 f"no exact draw hit the conditioning active set in {max_init_draws} tries"
             )
+        active0 = target
         burn_in = 0
     elif init is not None:
         validate_state(init, spec.p)

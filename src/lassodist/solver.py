@@ -1,8 +1,10 @@
 """Weighted lasso solver with coordinate descent and KKT-residual stopping.
 
 The solver works on the Gram scale: it needs only ``C = X'X/n`` and the
-correlation vector ``X'y/n``, which lets the same core serve the data-space
-problem, the posterior decision draw, and recentred objectives.
+correlation vectors ``X'y/n``, which lets the same core serve the data-space
+problem, the posterior decision draw, and recentred objectives.  One
+response and a block of responses (one row per draw) go through the same
+coordinate descent, vectorised over the rows.
 """
 from __future__ import annotations
 
@@ -31,54 +33,17 @@ MAX_ITER = 100_000
 class LassoSolution:
     """Minimizer of the penalized loss together with its subgradient.
 
-    ``subgrad`` equals the sign of ``beta_hat`` on the active set and lies
-    in [-1, 1] elsewhere; ``kkt_residual`` is the max-norm defect of the
-    stationarity condition.
+    ``subgrad`` equals the sign of ``beta_hat`` on the active set (the
+    boolean mask ``active``) and lies in [-1, 1] elsewhere;
+    ``kkt_residual`` is the max-norm defect of the stationarity condition.
+    For a block of responses each array has one row per response and
+    ``kkt_residual`` is the largest over the rows.
     """
 
     beta_hat: np.ndarray
     subgrad: np.ndarray
     active: np.ndarray
     kkt_residual: float
-
-
-def _kkt_residual_vec(
-    grad: np.ndarray, beta: np.ndarray, lam_w: np.ndarray
-) -> np.ndarray:
-    """Per-coordinate KKT defect; ``grad`` is ``xty - C @ beta``."""
-    res = np.empty_like(grad)
-    nz = beta != 0
-    res[nz] = np.abs(grad[nz] - lam_w[nz] * np.sign(beta[nz]))
-    res[~nz] = np.maximum(np.abs(grad[~nz]) - lam_w[~nz], 0.0)
-    return res
-
-
-def _cd_pass(
-    gram: np.ndarray,
-    xty: np.ndarray,
-    lam_w: np.ndarray,
-    beta: np.ndarray,
-    q: np.ndarray,
-    idx: np.ndarray,
-) -> None:
-    """One coordinate-descent pass over ``idx`` in ascending order, in place.
-
-    ``q`` tracks ``gram @ beta`` and is updated alongside ``beta``.
-    """
-    for j in idx:
-        cjj = gram[j, j]
-        if cjj <= 0.0:
-            # Zero column: the coordinate cannot move the fit.
-            if beta[j] != 0.0:
-                q -= gram[:, j] * beta[j]
-                beta[j] = 0.0
-            continue
-        rho = xty[j] - q[j] + cjj * beta[j]
-        shrunk = abs(rho) - lam_w[j]
-        new = np.sign(rho) * shrunk / cjj if shrunk > 0.0 else 0.0
-        if new != beta[j]:
-            q += gram[:, j] * (new - beta[j])
-            beta[j] = new
 
 
 def solve_lasso_gram(
@@ -88,75 +53,103 @@ def solve_lasso_gram(
     lam: float,
     kkt_tol: float = KKT_TOL,
     max_iter: int = MAX_ITER,
-    beta0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Minimize ``beta'C beta/2 - xty'beta + lam * sum(w |beta|)``.
 
-    Cyclic coordinate descent over all coordinates, with inner passes
-    restricted to the current active set until it stabilizes.  Convergence
-    is declared on the max-norm KKT residual, the same quantity the density
-    machinery depends on.  Lower-index coordinates update first within every
-    pass, which resolves boundary ties deterministically.
+    ``xty`` is one correlation vector (p,) or a block of them (L, p), and
+    each row is solved independently.  Cyclic coordinate descent visits
+    the coordinates in ascending order, which resolves boundary ties
+    deterministically, and updates every unconverged row at once.  A
+    coordinate that is zero and satisfies its KKT condition in every
+    unconverged row sits out the pass.  After each pass the KKT residual of
+    every row is recomputed in full and rows within tolerance retire.
 
-    Returns the minimizer and its KKT residual.
+    The tolerance on coordinate j is ``min(kkt_tol, S_TOL * lam * w_j / 2)``:
+    at small penalties the KKT residual alone would leave the subgradient
+    read off the solution further than ``S_TOL`` from its snapped value.
+    It is never below 16 rounding units of ``max |xty|``, about where
+    rounding in the gradient stalls coordinate descent; at penalties that
+    small the snap fails instead.
+
+    Returns the minimizers (shaped like ``xty``) and the largest KKT
+    residual.
 
     Raises
     ------
     ConvergenceError
-        After ``max_iter`` passes without reaching ``kkt_tol``; the error
-        carries the best iterate and residual.
+        After ``max_iter`` passes with rows above tolerance; the error
+        carries the iterate, the indices of those rows and their residuals.
     """
-    p = xty.shape[0]
-    lam_w = lam * np.asarray(weights, dtype=float)
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
-    q = gram @ beta if beta0 is not None else np.zeros(p)
-    all_idx = np.arange(p)
+    xty = np.asarray(xty, dtype=float)
+    p = xty.shape[-1]
+    lam_w = lam * np.asarray(weights, dtype=float)[:, None]
+    floor = 16 * np.finfo(float).eps * np.abs(xty).max(initial=0.0)
+    tol = np.minimum(kkt_tol, np.maximum(0.5 * S_TOL * lam_w, floor))
+    diag = gram.diagonal()
+    # Row j of C without its diagonal entry, as a (p, 1) column: the change
+    # in every other coordinate's partial residual per unit move of j.
+    coupling = (gram - np.diag(diag))[:, :, None]
+    inv_diag = np.divide(1.0, diag, out=np.zeros(p), where=diag > 0).tolist()
+    lw = lam_w[:, 0].tolist()
 
-    sweeps = 0
-    while sweeps < max_iter:
-        _cd_pass(gram, xty, lam_w, beta, q, all_idx)
-        sweeps += 1
-        # Polish on the current active set until it stops moving or shrinks.
-        while sweeps < max_iter:
-            active = np.nonzero(beta)[0]
-            if active.size == 0:
-                break
-            before = beta[active].copy()
-            _cd_pass(gram, xty, lam_w, beta, q, active)
-            sweeps += 1
-            moved = np.max(np.abs(beta[active] - before)) if active.size else 0.0
-            if moved <= 1e-15 or np.any(beta[active] == 0.0):
-                break
-        q = gram @ beta
-        res = float(np.max(_kkt_residual_vec(xty - q, beta, lam_w), initial=0.0))
-        if res <= kkt_tol:
-            return beta, res
+    # Working arrays hold one column per unconverged row.
+    target = xty.reshape(-1, p).T.copy()
+    out = np.zeros((target.shape[1], p))
+    res = np.zeros(len(out))
+    rows = np.arange(len(out))
+    B = np.zeros_like(target)
+    grad = target
+    passes = 0
+    while True:
+        # Per-coordinate KKT defect of every unconverged row.
+        dev = np.abs(grad - lam_w * np.sign(B))
+        defect = np.where(B != 0, dev, np.maximum(dev - lam_w, 0.0))
+        done = (defect <= tol).all(axis=0)
+        if done.any():
+            out[rows[done]] = B[:, done].T
+            res[rows[done]] = defect[:, done].max(axis=0)
+            keep = ~done
+            rows, target, B, grad, defect = (
+                rows[keep], target[:, keep], B[:, keep], grad[:, keep], defect[:, keep]
+            )
+        if rows.size == 0:
+            return out.reshape(xty.shape), float(res.max(initial=0.0))
+        if passes == max_iter:
+            break
+        live = ((B != 0) | (defect > 0)).any(axis=1)
+        partial = grad + diag[:, None] * B
+        for j in np.flatnonzero(live).tolist():
+            rho = partial[j]
+            t = lw[j]
+            new = (rho - np.minimum(np.maximum(rho, -t), t)) * inv_diag[j]
+            partial -= coupling[j] * (new - B[j])
+            B[j] = new
+        passes += 1
+        grad = target - gram @ B
 
-    q = gram @ beta
-    res = float(np.max(_kkt_residual_vec(xty - q, beta, lam_w), initial=0.0))
-    if res <= kkt_tol:
-        return beta, res
+    out[rows] = B.T
+    stuck = defect.max(axis=0)
+    worst = float(stuck.max())
     raise ConvergenceError(
-        f"coordinate descent did not reach tolerance {kkt_tol:g} "
-        f"after {max_iter} passes (residual {res:.3e})",
-        beta=beta,
-        residual=res,
+        f"coordinate descent left {rows.size} of {len(out)} rows above tolerance "
+        f"{kkt_tol:g} after {max_iter} passes (worst residual {worst:.3e}, "
+        f"rows {rows[:10].tolist()}{' ...' if rows.size > 10 else ''})",
+        beta=out.reshape(xty.shape),
+        residual=worst,
+        draws=rows,
+        residuals=stuck,
     )
 
 
-def _snap_subgradient(
-    spec: ProblemSpec, beta: np.ndarray, raw: np.ndarray, s_tol: float
-) -> np.ndarray:
+def _snap_subgradient(beta: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """Pin active coordinates to exact signs and clip the rest into [-1, 1]."""
-    s = raw.copy()
     nz = beta != 0
-    if np.any(np.abs(raw[nz] - np.sign(beta[nz])) > s_tol):
+    sign = np.sign(beta)
+    if np.any(np.abs(raw - sign)[nz] > S_TOL):
         raise DataError("subgradient disagrees with coefficient signs; not a minimizer")
-    if np.any(np.abs(raw[~nz]) > 1.0 + s_tol):
+    if np.any(np.abs(raw)[~nz] > 1.0 + S_TOL):
         raise DataError("inactive subgradient exceeds 1; not a minimizer")
-    s[nz] = np.sign(beta[nz])
-    s[~nz] = np.clip(raw[~nz], -1.0, 1.0)
-    return s
+    return np.where(nz, sign, np.clip(raw, -1.0, 1.0))
 
 
 def solve_lasso(
@@ -165,23 +158,22 @@ def solve_lasso(
     kkt_tol: float = KKT_TOL,
     max_iter: int = MAX_ITER,
 ) -> LassoSolution:
-    """Solve the weighted lasso for data ``y`` and extract (beta_hat, S)."""
+    """Solve the weighted lasso for data ``y`` and extract (beta_hat, S).
+
+    ``y`` is one response (n,) or a block of responses (L, n).
+    """
     y = np.asarray(y, dtype=float)
-    if y.shape != (spec.n,):
-        raise DataError(f"response must have shape ({spec.n},), got {y.shape}")
+    if y.ndim not in (1, 2) or y.shape[-1] != spec.n:
+        raise DataError(f"response must have shape ({spec.n},) or (L, {spec.n}), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise DataError("response contains non-finite entries")
-    xty = spec.X.T @ y / spec.n
+    xty = y @ spec.X / spec.n
     beta, res = solve_lasso_gram(
         spec.gram, xty, spec.weights, spec.lam, kkt_tol=kkt_tol, max_iter=max_iter
     )
-    raw = (xty - spec.gram @ beta) / (spec.lam * spec.weights)
-    s = _snap_subgradient(spec, beta, raw, S_TOL)
+    raw = (xty - beta @ spec.gram) / (spec.lam * spec.weights)
     return LassoSolution(
-        beta_hat=beta,
-        subgrad=s,
-        active=np.nonzero(beta)[0],
-        kkt_residual=res,
+        beta_hat=beta, subgrad=_snap_subgradient(beta, raw), active=beta != 0, kkt_residual=res
     )
 
 
@@ -198,7 +190,7 @@ def subgradient_of(spec: ProblemSpec, y: np.ndarray, beta_hat: np.ndarray) -> np
     y = np.asarray(y, dtype=float)
     beta_hat = np.asarray(beta_hat, dtype=float)
     raw = spec.X.T @ (y - spec.X @ beta_hat) / (spec.n * spec.lam * spec.weights)
-    return _snap_subgradient(spec, beta_hat, raw, S_TOL)
+    return _snap_subgradient(beta_hat, raw)
 
 
 def lambda_max(spec: ProblemSpec, y: np.ndarray) -> float:

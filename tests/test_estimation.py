@@ -251,6 +251,15 @@ def test_posterior_student_states_are_valid(small_spec):
         validate_state(chain.state(i), small_spec.p)
 
 
+def test_posterior_records_kkt_residual(small_spec):
+    y = 1.5 * generator(8).standard_normal(small_spec.n)
+    chain = posterior_decision_sample(small_spec, y, Gaussian(1.0), 300, 6, kkt_tol=1e-10)
+    assert chain.max_kkt_residual is not None
+    assert 0.0 <= chain.max_kkt_residual <= 1e-10
+    raw = posterior_decision_sample(small_spec, y, Gaussian(1.0), 30, 6, lam=0.0)
+    assert raw.max_kkt_residual == 0.0
+
+
 def test_posterior_guards(wide_spec, small_spec):
     y = np.zeros(wide_spec.n)
     with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from lassodist import (
     write_chain_csv,
     write_chain_meta,
 )
-from lassodist.density import validate_state
+from lassodist.density import sample_errors, state_from_arrays, validate_state
+from lassodist.rng import generator, seed_sequence
 from lassodist.samplers import SamplerConfig, active_bitmask, mask_from_bitmask
 
 from oracles import cell_probability
@@ -253,3 +255,27 @@ def test_solver_consistency_inside_direct_sampler(small_spec):
     beta_center = solve_lasso(small_spec, np.ones(small_spec.n)).beta_hat
     chain = direct_sample(small_spec, beta_center, Gaussian(0.5), 10, 23)
     assert chain.max_kkt_residual <= 1e-8
+
+
+def test_conditional_init_takes_first_matching_draw(small_spec):
+    beta = np.array([0.8, 0.0, -0.5, 0.0, 0.0])
+    A = np.array([0, 2])
+    target = np.isin(np.arange(5), A)
+    model = Gaussian(1.0)
+    config = default_sampler_config(small_spec, 22, iters=30, burn_in=0, equilibrium_init=True)
+    chain = conditional_mh_sample(small_spec, beta, model, A, config)
+    # Reference: one exact draw at a time from the init stream.  For this
+    # seed the first hit is draw 79, past the first batches of the search.
+    rng = generator(seed_sequence(22).spawn(3)[0])
+    for tries in range(1, 200):
+        eps = sample_errors(model, small_spec.n, 1, rng)[0]
+        fit = solve_lasso(small_spec, small_spec.X @ beta + eps)
+        if np.array_equal(fit.active, target):
+            break
+    assert tries == 80
+    start = state_from_arrays(np.where(target, fit.beta_hat, fit.subgrad), target)
+    ref = conditional_mh_sample(
+        small_spec, beta, model, A, replace(config, equilibrium_init=False), init=start
+    )
+    np.testing.assert_array_equal(chain.active, ref.active)
+    np.testing.assert_allclose(chain.thetas, ref.thetas, atol=1e-6)

@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lassodist.samplers
 from lassodist import (
     ConfigError,
     ConvergenceError,
     DataError,
+    Gaussian,
     build_problem,
+    direct_sample,
     lambda_grid,
     lambda_max,
     solve_lasso,
     solve_lasso_gram,
     subgradient_of,
 )
+from lassodist.solver import KKT_TOL
 
 from oracles import enumerate_lasso, soft_threshold
 
@@ -126,3 +130,113 @@ def test_convergence_error_carries_iterate(small_spec):
 def test_bad_grid_size_rejected(small_spec):
     with pytest.raises(ConfigError):
         lambda_grid(small_spec, np.ones(small_spec.n), num=0)
+
+
+def _batch_instance(seed, n_lo, n_hi, p_lo, p_hi, L):
+    gen = np.random.default_rng(seed)
+    p = int(gen.integers(p_lo, p_hi + 1))
+    n = int(gen.integers(n_lo, n_hi + 1))
+    X = gen.standard_normal((n, p))
+    spec = build_problem(X, gen.uniform(0.5, 1.5, p), float(gen.uniform(0.05, 0.8)))
+    Y = X @ (gen.standard_normal(p) * gen.integers(0, 2, p)) + gen.standard_normal((L, n))
+    return spec, Y
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batch_matches_enumeration_oracle(seed):
+    spec, Y = _batch_instance(seed, 5, 9, 2, 4, 12)
+    fit = solve_lasso(spec, Y)
+    assert fit.beta_hat.shape == (12, spec.p)
+    for i, y in enumerate(Y):
+        xty = spec.X.T @ y / spec.n
+        beta_ref, s_ref = enumerate_lasso(spec.gram, xty, spec.weights, spec.lam)
+        np.testing.assert_allclose(fit.beta_hat[i], beta_ref, atol=1e-7)
+        np.testing.assert_allclose(fit.subgrad[i], s_ref, atol=1e-6)
+        np.testing.assert_array_equal(fit.active[i], beta_ref != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batch_rows_equal_single_solves(seed):
+    spec, Y = _batch_instance(seed, 8, 30, 2, 12, 25)
+    batch = solve_lasso(spec, Y)
+    for i, y in enumerate(Y):
+        one = solve_lasso(spec, y)
+        np.testing.assert_array_equal(batch.active[i], one.active)
+        np.testing.assert_allclose(batch.beta_hat[i], one.beta_hat, atol=1e-7)
+        np.testing.assert_allclose(batch.subgrad[i], one.subgrad, atol=1e-6)
+        assert one.kkt_residual <= batch.kkt_residual + KKT_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batch_kkt_residual_below_tolerance_wide(seed):
+    spec, Y = _batch_instance(seed, 4, 10, 12, 30, 30)
+    assert spec.p > spec.n
+    xty = Y @ spec.X / spec.n
+    beta, worst = solve_lasso_gram(spec.gram, xty, spec.weights, spec.lam)
+    lam_w = spec.lam * spec.weights
+    grad = xty - beta @ spec.gram
+    on = beta != 0
+    defect = np.where(
+        on, np.abs(grad - lam_w * np.sign(beta)), np.maximum(np.abs(grad) - lam_w, 0.0)
+    )
+    assert worst <= KKT_TOL
+    assert np.all(defect <= KKT_TOL * (1 + 1e-6))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_direct_sample_prefix_matches_shorter_run(seed, k):
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((15, 6))
+    spec = build_problem(X, gen.uniform(0.5, 1.5, 6), 0.3)
+    beta = gen.standard_normal(6) * gen.integers(0, 2, 6)
+    full = direct_sample(spec, beta, Gaussian(1.0), 40, seed)
+    head = direct_sample(spec, beta, Gaussian(1.0), k, seed)
+    np.testing.assert_array_equal(full.active[:k], head.active)
+    np.testing.assert_allclose(full.thetas[:k], head.thetas, atol=1e-6)
+
+
+def test_batch_convergence_error_names_draws(small_spec):
+    gen = np.random.default_rng(5)
+    Y = gen.standard_normal((6, small_spec.n)) * 5
+    Y[[1, 4]] = 0.0  # all-zero fits satisfy the KKT conditions before any pass
+    with pytest.raises(ConvergenceError) as exc_info:
+        solve_lasso(small_spec, Y, kkt_tol=1e-16, max_iter=1)
+    err = exc_info.value
+    np.testing.assert_array_equal(err.draws, [0, 2, 3, 5])
+    assert err.residuals.shape == (4,)
+    assert np.all(err.residuals > 1e-16)
+    assert err.residual == err.residuals.max()
+    assert err.beta.shape == (6, small_spec.p)
+
+
+def test_direct_sample_convergence_error_carries_seed(small_spec, monkeypatch):
+    def one_pass(spec, y):
+        return solve_lasso(spec, y, max_iter=1)
+
+    monkeypatch.setattr(lassodist.samplers, "solve_lasso", one_pass)
+    with pytest.raises(ConvergenceError) as exc_info:
+        direct_sample(small_spec, np.ones(small_spec.p), Gaussian(1.0), 30, 77)
+    err = exc_info.value
+    assert err.seed == 77
+    assert err.draws.size > 0
+    assert np.all((0 <= err.draws) & (err.draws < 30))
+    assert np.all(err.residuals > KKT_TOL)
+    assert "seed 77" in str(err)
+
+
+def test_small_penalty_direct_sample_snaps_subgradient():
+    # Criterion-04 design at a penalty where a KKT residual of KKT_TOL
+    # alone would leave a subgradient error of about KKT_TOL / lam > S_TOL.
+    gen = np.random.default_rng(404)
+    shared = gen.standard_normal((50, 1))
+    X = np.sqrt(0.75) * gen.standard_normal((50, 10)) + np.sqrt(0.25) * shared
+    beta0 = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 0.18, 0.18])
+    spec = build_problem(X, 1.0, 1e-3)
+    chain = direct_sample(spec, beta0, Gaussian(1.0), 200, 1404)
+    assert chain.max_kkt_residual <= KKT_TOL
+    inactive = chain.thetas[~chain.active]
+    assert np.all(np.abs(inactive) <= 1.0)
