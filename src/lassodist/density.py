@@ -26,6 +26,8 @@ __all__ = [
     "ErrorModel",
     "C_TOL",
     "score_map",
+    "scores",
+    "score_qform",
     "gaussian_moments",
     "log_density",
     "inactive_null_basis",
@@ -68,11 +70,6 @@ class AugmentedState:
         mask = np.zeros(self.dimension, dtype=bool)
         mask[self.active] = True
         return mask
-
-    def beta_hat(self) -> np.ndarray:
-        out = np.zeros(self.dimension)
-        out[self.active] = self.b_active
-        return out
 
     def subgradient(self) -> np.ndarray:
         out = np.empty(self.dimension)
@@ -196,40 +193,83 @@ def radial_log_pdf(model: EmpiricalElliptical, radius: float) -> float:
     return math.log(count) - log_width - model.log_norm
 
 
-def log_error_density_from_qform(model: ErrorModel, qform: float, spec: ProblemSpec) -> float:
-    """Log density of the score vector given its Mahalanobis form u'C^{-1}u.
+def _log_score_density(
+    model: ErrorModel, qform: float, dim: int, log_det: float, n: int
+) -> float:
+    """Log density of a ``dim``-dimensional score with scale matrix S/n.
 
     All three error models are elliptical in the whitened score, so the
-    quadratic form is a sufficient argument; the Jacobian of the whitening
-    contributes ``-log det C / 2``.
+    Mahalanobis form ``qform`` = u'S^{-1}u is a sufficient argument.
+    ``log_det`` is log det S; the whitening contributes ``-log_det / 2``.
     """
-    p, n = spec.p, spec.n
     if isinstance(model, Gaussian):
         if model.sigma2 <= 0:
             raise ConfigError("Gaussian variance must be positive")
         return float(
-            -0.5 * p * math.log(2.0 * math.pi * model.sigma2 / n)
-            - 0.5 * spec.log_det_gram
+            -0.5 * dim * math.log(2.0 * math.pi * model.sigma2 / n)
+            - 0.5 * log_det
             - 0.5 * n * qform / model.sigma2
         )
     if isinstance(model, StudentT):
         if model.dof <= 0 or model.scale <= 0:
             raise ConfigError("StudentT dof and scale must be positive")
         nu = float(model.dof)
-        log_det_scale = p * math.log(model.scale / n) + spec.log_det_gram
+        log_det_scale = dim * math.log(model.scale / n) + log_det
         quad = n * qform / model.scale
         return float(
-            gammaln(0.5 * (nu + p))
+            gammaln(0.5 * (nu + dim))
             - gammaln(0.5 * nu)
-            - 0.5 * p * math.log(nu * math.pi)
+            - 0.5 * dim * math.log(nu * math.pi)
             - 0.5 * log_det_scale
-            - 0.5 * (nu + p) * math.log1p(quad / nu)
+            - 0.5 * (nu + dim) * math.log1p(quad / nu)
         )
     if isinstance(model, EmpiricalElliptical):
-        if model.dim != p:
-            raise ConfigError(f"elliptical model dimension {model.dim} does not match p={p}")
-        return radial_log_pdf(model, math.sqrt(max(qform, 0.0))) - 0.5 * spec.log_det_gram
+        if model.dim != dim:
+            raise ConfigError(
+                f"elliptical model dimension {model.dim} does not match the score dimension {dim}"
+            )
+        return radial_log_pdf(model, math.sqrt(max(qform, 0.0))) - 0.5 * log_det
     raise ConfigError(f"unknown error model {type(model).__name__}")
+
+
+def log_error_density_from_qform(model: ErrorModel, qform: float, spec: ProblemSpec) -> float:
+    """Log density of the score vector given its Mahalanobis form u'C^{-1}u."""
+    return _log_score_density(model, qform, spec.p, spec.log_det_gram, spec.n)
+
+
+def scores(
+    thetas: np.ndarray,
+    active: np.ndarray,
+    beta: np.ndarray,
+    spec: ProblemSpec,
+    lam: float | None = None,
+) -> np.ndarray:
+    """Score vectors ``C (beta_hat - beta) + lam * w * S`` of states.
+
+    ``thetas`` (mixed coordinates) and ``active`` (mask) describe one state,
+    shape (p,), or a block of states, shape (L, p); the result has the same
+    shape.  ``lam`` overrides ``spec.lam``.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    beta_hat = np.where(active, thetas, 0.0)
+    subgrad = np.where(active, np.sign(thetas), thetas)
+    lam = spec.lam if lam is None else lam
+    return (spec.gram @ (beta_hat - beta).T).T + lam * spec.weights * subgrad
+
+
+def score_qform(
+    u: np.ndarray, spec: ProblemSpec, basis: SpectralBasis | None = None
+) -> np.ndarray:
+    """Mahalanobis form of score vectors, one value per row of ``u``.
+
+    Without ``basis`` this is ``u'C^{-1}u`` (p <= n).  With the spectral
+    basis of a p > n design it is ``sum((V'u)^2 / ell)`` over the n
+    row-space eigenpairs (V, ell), the form of the row-space density.
+    """
+    u = np.asarray(u, dtype=float)
+    if basis is None:
+        return np.sum(u * spec.gram_solve(u.T).T, axis=-1)
+    return np.sum((u @ basis.row_basis) ** 2 / basis.eigenvalues, axis=-1)
 
 
 def score_map(state: AugmentedState, beta: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -238,21 +278,16 @@ def score_map(state: AugmentedState, beta: np.ndarray, spec: ProblemSpec) -> np.
     Inverts the stationarity equation: the score equals
     ``C (beta_hat - beta) + lam * w * S``.
     """
-    beta = np.asarray(beta, dtype=float)
-    return spec.gram @ (state.beta_hat() - beta) + spec.lam * spec.weights * state.subgradient()
+    return scores(state.theta(), state.active_mask(), beta, spec)
 
 
 def _assemble_jacobian(A: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """The p x p matrix sending (b_A, s_I) to the score: (C_A | lam W_I)."""
     idx = np.sort(np.asarray(A, dtype=int).ravel())
-    mask = np.zeros(spec.p, dtype=bool)
-    mask[idx] = True
-    inactive = np.nonzero(~mask)[0]
-    D = np.empty((spec.p, spec.p))
+    inactive = np.setdiff1d(np.arange(spec.p), idx)
+    D = np.zeros((spec.p, spec.p))
     D[:, : idx.size] = spec.gram[:, idx]
-    D[:, idx.size :] = 0.0
-    for col, j in enumerate(inactive, start=idx.size):
-        D[j, col] = spec.lam * spec.weights[j]
+    D[inactive, np.arange(idx.size, spec.p)] = spec.lam * spec.weights[inactive]
     return D
 
 
@@ -296,9 +331,7 @@ def log_density(
     the absolute Jacobian determinant of the map.
     """
     validate_state(state, spec.p)
-    u = score_map(state, beta, spec)
-    sol = spec.gram_solve(u)
-    qform = float(u @ sol)
+    qform = float(score_qform(score_map(state, beta, spec), spec))
     return log_error_density_from_qform(model, qform, spec) + log_det_jacobian(
         state.active, spec
     )
@@ -387,31 +420,13 @@ def log_density_rowspace(
         raise DataError(
             f"subgradient violates the row-space constraint ({resid:.3e} > {C_TOL:g})"
         )
-    r = basis.row_basis.T @ score_map(state, beta, spec)
-    lam_vals = basis.eigenvalues
-    qform = float(np.sum(r * r / lam_vals))
-    n = spec.n
-    if isinstance(model, Gaussian):
-        if model.sigma2 <= 0:
-            raise ConfigError("Gaussian variance must be positive")
-        log_f = (
-            -0.5 * n * math.log(2.0 * math.pi * model.sigma2 / n)
-            - 0.5 * float(np.sum(np.log(lam_vals)))
-            - 0.5 * n * qform / model.sigma2
-        )
-    elif isinstance(model, EmpiricalElliptical):
-        if model.dim != n:
-            raise ConfigError(
-                f"elliptical model dimension {model.dim} does not match n={n}"
-            )
-        log_f = radial_log_pdf(model, math.sqrt(max(qform, 0.0))) - 0.5 * float(
-            np.sum(np.log(lam_vals))
-        )
-    else:
-        raise ConfigError(
-            f"{type(model).__name__} error model is not supported on the p > n path"
-        )
-    return float(log_f) + log_det_rowspace_jacobian(
+    if isinstance(model, StudentT):
+        raise ConfigError("StudentT error model is not supported on the p > n path")
+    qform = float(score_qform(score_map(state, beta, spec), spec, basis))
+    log_f = _log_score_density(
+        model, qform, spec.n, float(np.sum(np.log(basis.eigenvalues))), spec.n
+    )
+    return log_f + log_det_rowspace_jacobian(
         state.active, spec, basis, null_span=null_span
     )
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning as scipy_linalg_warning
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
-from .density import EmpiricalElliptical, Gaussian, StudentT, radial_log_norm
+from .density import EmpiricalElliptical, Gaussian, StudentT, _assemble_jacobian, radial_log_norm
 from .errors import ConfigError, ConvergenceError, DataError, NumericalError
 from .problem import ProblemSpec
 from .rng import Seed, generator
@@ -214,9 +214,7 @@ def sign_consistency_prob(
     if support.size > spec.n:
         raise ConfigError("a support larger than n is never recoverable")
     signs = np.sign(beta0[support])
-    mask = np.zeros(spec.p, dtype=bool)
-    mask[support] = True
-    inactive = np.nonzero(~mask)[0]
+    inactive = np.nonzero(beta0 == 0)[0]
     k = support.size
 
     # Affine center of the mapped score, active block then inactive block.
@@ -234,11 +232,7 @@ def sign_consistency_prob(
                 spec.gram[np.ix_(inactive, support)] @ caa_inv_ws
             ) / spec.weights[inactive]
 
-    D = np.zeros((spec.p, spec.p))
-    D[:, :k] = spec.gram[:, support]
-    for col, j in enumerate(inactive, start=k):
-        D[j, col] = spec.lam * spec.weights[j]
-    d_fac = _checked_lu(D, "state-to-score Jacobian")
+    d_fac = _checked_lu(_assemble_jacobian(support, spec), "state-to-score Jacobian")
 
     rng = generator(seed)
     sd = math.sqrt(sigma2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .density import AugmentedState, Gaussian
+from .density import Gaussian, score_qform, scores
 from .errors import ConfigError, DataError, NumericalError
 from .problem import ProblemSpec, SpectralBasis, spectral_decompose
 from .rng import Seed, generator, seed_sequence
@@ -25,7 +25,6 @@ __all__ = [
     "TrialSpec",
     "ISResult",
     "tune_trial",
-    "log_importance_weight",
     "chain_log_weights",
     "estimate_pvalue",
     "multi_test",
@@ -86,12 +85,8 @@ def tune_trial(
     if m_dagger <= 0 or l_pilot < 1:
         raise ConfigError("need a positive multiplier and at least one pilot draw")
     sigma2_dagger = m_dagger * sigma2_0
-    rng = generator(seed)
-    sd = math.sqrt(sigma2_dagger)
-    thresholds = np.empty(l_pilot)
-    for t in range(l_pilot):
-        y = sd * rng.standard_normal(spec.n)
-        thresholds[t] = lambda_max(spec, y)
+    pilots = math.sqrt(sigma2_dagger) * generator(seed).standard_normal((l_pilot, spec.n))
+    thresholds = lambda_max(spec, pilots)
     lam_dagger = float(np.quantile(thresholds, 0.25))
     if lam_dagger <= 0:
         raise NumericalError("pilot tuning produced a zero trial penalty")
@@ -100,50 +95,6 @@ def tune_trial(
         lambda_dagger=lam_dagger,
         m_dagger=m_dagger,
         l_pilot=l_pilot,
-    )
-
-
-def log_importance_weight(
-    state: AugmentedState,
-    spec: ProblemSpec,
-    basis: SpectralBasis | None,
-    sigma2_0: float,
-    lambda_star: float,
-    trial: TrialSpec,
-    beta0: np.ndarray,
-) -> float:
-    """Log ratio of target to trial augmented densities at one state.
-
-    The target has penalty ``lambda_star`` and Gaussian noise ``sigma2_0``;
-    the trial has ``trial.lambda_dagger`` and ``trial.sigma2_dagger``.
-    With ``basis`` given the ratio is taken between row-space densities
-    (p > n); otherwise between full-space densities (p <= n).  Everything
-    except the score terms and the penalty power of the Jacobian cancels.
-    """
-    beta0 = np.asarray(beta0, dtype=float)
-    k = state.active.size
-    if k > spec.n:
-        raise DataError("active set larger than n has zero density in both laws")
-    base = spec.gram @ (state.beta_hat() - beta0)
-    weighted_s = spec.weights * state.subgradient()
-    u_target = base + lambda_star * weighted_s
-    u_trial = base + trial.lambda_dagger * weighted_s
-    if basis is None:
-        q_target = float(u_target @ spec.gram_solve(u_target))
-        q_trial = float(u_trial @ spec.gram_solve(u_trial))
-        dim = spec.p
-    else:
-        r_target = basis.row_basis.T @ u_target
-        r_trial = basis.row_basis.T @ u_trial
-        q_target = float(np.sum(r_target**2 / basis.eigenvalues))
-        q_trial = float(np.sum(r_trial**2 / basis.eigenvalues))
-        dim = spec.n
-    n = spec.n
-    return float(
-        0.5 * n * q_trial / trial.sigma2_dagger
-        - 0.5 * n * q_target / sigma2_0
-        + (dim - k) * math.log(lambda_star / trial.lambda_dagger)
-        + 0.5 * dim * math.log(trial.sigma2_dagger / sigma2_0)
     )
 
 
@@ -156,14 +107,28 @@ def chain_log_weights(
     trial: TrialSpec,
     beta0: np.ndarray,
 ) -> np.ndarray:
-    """Log importance weights for every state of a trial-sampled chain."""
-    return np.array(
-        [
-            log_importance_weight(
-                chain.state(i), spec, basis, sigma2_0, lambda_star, trial, beta0
-            )
-            for i in range(len(chain))
-        ]
+    """Log ratio of target to trial augmented densities at every state of a chain.
+
+    The target has penalty ``lambda_star`` and Gaussian noise ``sigma2_0``;
+    the trial has ``trial.lambda_dagger`` and ``trial.sigma2_dagger``.
+    With ``basis`` given the ratio is taken between row-space densities
+    (p > n); otherwise between full-space densities (p <= n).  Everything
+    except the score terms and the penalty power of the Jacobian cancels.
+    """
+    k = chain.active.sum(axis=1)
+    if np.any(k > spec.n):
+        raise DataError("active set larger than n has zero density in both laws")
+    q_target, q_trial = (
+        score_qform(scores(chain.thetas, chain.active, beta0, spec, lam), spec, basis)
+        for lam in (lambda_star, trial.lambda_dagger)
+    )
+    dim = spec.p if basis is None else spec.n
+    n = spec.n
+    return (
+        0.5 * n * q_trial / trial.sigma2_dagger
+        - 0.5 * n * q_target / sigma2_0
+        + (dim - k) * math.log(lambda_star / trial.lambda_dagger)
+        + 0.5 * dim * math.log(trial.sigma2_dagger / sigma2_0)
     )
 
 
@@ -308,9 +273,9 @@ def multi_pvalue_study(
 ) -> list[ISResult]:
     """Tune once, sample once, reweight per target.
 
-    Seed handling matches the single-target pipeline, so element k agrees
-    bit for bit with a single-target run at ``(lambda_stars[k],
-    t_stars[k])`` on the same seed.
+    Element k agrees bit for bit with a single-target run at
+    ``(lambda_stars[k], t_stars[k])`` on the same seed, which is this
+    function with one target.
     """
     if basis is None and spec.p > spec.n:
         basis = spectral_decompose(spec)
@@ -340,8 +305,9 @@ def pvalue_study(
 ) -> ISResult:
     """Full pipeline: tune the trial, sample it, reweight, estimate.
 
-    With ``replicates`` > 1 the whole pipeline reruns on spawned seeds;
-    the returned estimate is the replicate mean and ``cv`` its relative
+    One run is the one-target case of :func:`multi_pvalue_study`.  With
+    ``replicates`` > 1 the whole pipeline reruns on spawned seeds; the
+    returned estimate is the replicate mean and ``cv`` its relative
     standard deviation across runs, the usual quality metric for tail
     targets.
     """
@@ -349,7 +315,6 @@ def pvalue_study(
         raise ConfigError("need at least one replicate")
     if basis is None and spec.p > spec.n:
         basis = spectral_decompose(spec)
-    root = seed_sequence(seed)
     if replicates > 1:
         runs = [
             pvalue_study(
@@ -367,14 +332,20 @@ def pvalue_study(
                 l_pilot=l_pilot,
                 replicates=1,
             )
-            for s in root.spawn(replicates)
+            for s in seed_sequence(seed).spawn(replicates)
         ]
         return pool_results(runs, lambda_star)
-    tune_seq, sample_seq = root.spawn(2)
-    if trial is None:
-        trial = tune_trial(spec, sigma2_0, m_dagger, l_pilot, tune_seq)
-    chain = sample_trial(spec, beta0, trial, L, sample_seq)
-    lw = chain_log_weights(chain, spec, basis, sigma2_0, lambda_star, trial, beta0)
-    result = estimate_pvalue(chain, statistic, t_star, lw, lambda_star=lambda_star)
-    result.trial = trial
-    return result
+    return multi_pvalue_study(
+        spec,
+        beta0,
+        sigma2_0,
+        [lambda_star],
+        statistic,
+        [t_star],
+        L,
+        seed,
+        basis=basis,
+        trial=trial,
+        m_dagger=m_dagger,
+        l_pilot=l_pilot,
+    )[0]

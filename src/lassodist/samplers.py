@@ -21,6 +21,7 @@ from .density import (
     ErrorModel,
     log_error_density_from_qform,
     sample_errors,
+    scores,
     state_from_arrays,
     validate_state,
 )
@@ -242,12 +243,9 @@ class _MhEngine:
 
     def rebuild(self) -> None:
         spec = self.spec
-        beta_hat = np.where(self.active, self.theta, 0.0)
-        s_full = np.where(self.active, np.sign(self.theta), self.theta)
-        self.H = spec.gram @ (beta_hat - self.beta) + spec.lam * spec.weights * s_full
+        self.H = scores(self.theta, self.active, self.beta, spec)
         self.G = spec.gram_inv @ self.H
-        self.qform = float(self.H @ self.G)
-        self.loglik = log_error_density_from_qform(self.model, self.qform, spec)
+        self.loglik = log_error_density_from_qform(self.model, float(self.H @ self.G), spec)
         if self.track_dets:
             self.sweep = build_sweep_state(spec, np.nonzero(self.active)[0])
 
@@ -266,7 +264,6 @@ class _MhEngine:
     def _accept(self, H_new, G_new, loglik_new, kind) -> None:
         self.H = H_new
         self.G = G_new
-        self.qform = float(H_new @ G_new)
         self.loglik = loglik_new
         self.accepts[kind] += 1
 

@@ -161,6 +161,12 @@ def solve_lasso(
     """Solve the weighted lasso for data ``y`` and extract (beta_hat, S).
 
     ``y`` is one response (n,) or a block of responses (L, n).
+
+    Raises
+    ------
+    NumericalError
+        If the subgradient read off the solution cannot be snapped, which
+        happens when the penalty is too small for double precision.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != spec.n:
@@ -172,9 +178,14 @@ def solve_lasso(
         spec.gram, xty, spec.weights, spec.lam, kkt_tol=kkt_tol, max_iter=max_iter
     )
     raw = (xty - beta @ spec.gram) / (spec.lam * spec.weights)
-    return LassoSolution(
-        beta_hat=beta, subgrad=_snap_subgradient(beta, raw), active=beta != 0, kkt_residual=res
-    )
+    try:
+        subgrad = _snap_subgradient(beta, raw)
+    except DataError as exc:
+        raise NumericalError(
+            f"penalty {spec.lam:g} is too small to resolve the subgradient "
+            f"in double precision ({exc})"
+        ) from exc
+    return LassoSolution(beta_hat=beta, subgrad=subgrad, active=beta != 0, kkt_residual=res)
 
 
 def subgradient_of(spec: ProblemSpec, y: np.ndarray, beta_hat: np.ndarray) -> np.ndarray:
@@ -193,10 +204,15 @@ def subgradient_of(spec: ProblemSpec, y: np.ndarray, beta_hat: np.ndarray) -> np
     return _snap_subgradient(beta_hat, raw)
 
 
-def lambda_max(spec: ProblemSpec, y: np.ndarray) -> float:
-    """Smallest penalty level at which the lasso solution is identically zero."""
+def lambda_max(spec: ProblemSpec, y: np.ndarray) -> float | np.ndarray:
+    """Smallest penalty level at which the lasso solution is identically zero.
+
+    ``y`` is one response (n,) or a block of responses (L, n); a block
+    gives one level per row.
+    """
     y = np.asarray(y, dtype=float)
-    return float(np.max(np.abs(spec.X.T @ y) / (spec.n * spec.weights), initial=0.0))
+    top = np.max(np.abs(spec.X.T @ y.T).T / (spec.n * spec.weights), axis=-1, initial=0.0)
+    return float(top) if y.ndim == 1 else top
 
 
 def lambda_grid(

@@ -141,6 +141,17 @@ def assemble_rowspace_jacobian(
     return np.column_stack([left, right])
 
 
+def rowspace_qform(X: np.ndarray, u: np.ndarray) -> float:
+    """u' G^+ u for G = X'X/n with full row rank, from the design itself.
+
+    G^+ = n X'(XX')^{-2} X, so u' G^+ u = n |(XX')^{-1} X u|^2; no
+    eigendecomposition of G is involved.
+    """
+    n = X.shape[0]
+    a = np.linalg.solve(X @ X.T, X @ u)
+    return float(n * a @ a)
+
+
 def gaussian_radial_logpdf(r: np.ndarray, dim: int, scale2: float) -> np.ndarray:
     """Log density of ||Z|| for Z ~ N(0, scale2 * I_dim)."""
     r = np.asarray(r, dtype=float)

@@ -26,6 +26,8 @@ from lassodist.density import (
     log_det_rowspace_jacobian,
     radial_log_norm,
     radial_log_pdf,
+    score_qform,
+    scores,
     validate_state,
 )
 from lassodist.density import EmpiricalElliptical
@@ -60,6 +62,20 @@ def test_score_map_round_trips_through_solver(rng):
         u = score_map(state, beta_true, spec)
         expected = spec.X.T @ (y - spec.X @ beta_true) / spec.n
         np.testing.assert_allclose(u, expected, atol=1e-8)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_score_kernel_block_equals_stacked_rows(small_spec, wide_spec, wide):
+    spec = wide_spec if wide else small_spec
+    basis = spectral_decompose(spec) if wide else None
+    beta = np.linspace(-0.5, 0.5, spec.p)
+    chain = direct_sample(spec, beta, Gaussian(1.0), 25, 8)
+    u = scores(chain.thetas, chain.active, beta, spec, lam=0.7)
+    rows = [scores(t, a, beta, spec, lam=0.7) for t, a in zip(chain.thetas, chain.active)]
+    np.testing.assert_allclose(u, rows, rtol=1e-13, atol=1e-14)
+    q = score_qform(u, spec, basis)
+    assert q.shape == (25,)
+    np.testing.assert_allclose(q, [score_qform(r, spec, basis) for r in rows], rtol=1e-12)
 
 
 def test_gaussian_moments_single_active_identity():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lassodist import (
+    Chain,
     ConfigError,
     Gaussian,
     NumericalError,
@@ -11,6 +12,7 @@ from lassodist import (
     coefficient_statistic,
     direct_sample,
     estimate_pvalue,
+    lambda_max,
     log_density,
     log_density_rowspace,
     multi_pvalue_study,
@@ -22,6 +24,9 @@ from lassodist import (
 from lassodist import importance as imp
 from lassodist.density import AugmentedState
 from lassodist.importance import TrialSpec, chain_log_weights, pool_results, sample_trial
+from lassodist.rng import generator
+
+from oracles import rowspace_qform
 
 
 def make_state(active, b, s_inactive):
@@ -32,12 +37,26 @@ def make_state(active, b, s_inactive):
     )
 
 
+def one_row_chain(state):
+    return Chain(
+        thetas=state.theta()[None], active=state.active_mask()[None], iterations=np.arange(1)
+    )
+
+
 def test_tune_trial_uses_lower_quartile(identity_spec, monkeypatch):
-    values = iter([1.0, 2.0, 3.0, 4.0])
-    monkeypatch.setattr(imp, "lambda_max", lambda spec, y: next(values))
+    monkeypatch.setattr(imp, "lambda_max", lambda spec, y: np.array([1.0, 2.0, 3.0, 4.0]))
     trial = tune_trial(identity_spec, sigma2_0=0.4, m_dagger=5.0, l_pilot=4, seed=0)
     assert trial.lambda_dagger == pytest.approx(1.75)
     assert trial.sigma2_dagger == pytest.approx(2.0)
+
+
+def test_tune_trial_block_matches_pilot_loop(small_spec):
+    # Reference: one standard_normal(n) draw and one lambda_max call per pilot.
+    rng = generator(17)
+    sd = np.sqrt(5.0 * 0.7)
+    loop = [lambda_max(small_spec, sd * rng.standard_normal(small_spec.n)) for _ in range(100)]
+    trial = tune_trial(small_spec, sigma2_0=0.7, m_dagger=5.0, l_pilot=100, seed=17)
+    assert trial.lambda_dagger == pytest.approx(np.quantile(loop, 0.25), rel=1e-14)
 
 
 def test_tune_trial_rejects_zero_variance(identity_spec):
@@ -83,8 +102,8 @@ def test_log_weight_is_full_density_ratio_high_dim():
 
     # one active coordinate (k = n: the penalty power cancels entirely)
     state_active = make_state([0], [0.8], [1.0])
-    lw = imp.log_importance_weight(
-        state_active, spec, basis, sigma2_0, lambda_star, trial, beta0
+    (lw,) = chain_log_weights(
+        one_row_chain(state_active), spec, basis, sigma2_0, lambda_star, trial, beta0
     )
     expected = log_density_rowspace(
         state_active, beta0, Gaussian(sigma2_0), spec_target, basis
@@ -95,8 +114,8 @@ def test_log_weight_is_full_density_ratio_high_dim():
 
     # empty active set: penalty power (n - 0) log(lambda*/lambda+) present
     state_empty = make_state([], [], [0.4, 0.4])
-    lw0 = imp.log_importance_weight(
-        state_empty, spec, basis, sigma2_0, lambda_star, trial, beta0
+    (lw0,) = chain_log_weights(
+        one_row_chain(state_empty), spec, basis, sigma2_0, lambda_star, trial, beta0
     )
     expected0 = log_density_rowspace(
         state_empty, beta0, Gaussian(sigma2_0), spec_target, basis
@@ -104,6 +123,28 @@ def test_log_weight_is_full_density_ratio_high_dim():
         state_empty, beta0, Gaussian(trial.sigma2_dagger), spec_trial, basis
     )
     assert lw0 == pytest.approx(expected0, abs=1e-10)
+
+
+def test_log_weights_match_design_rowspace_oracle(wide_spec):
+    basis = spectral_decompose(wide_spec)
+    beta0 = np.linspace(-0.3, 0.3, wide_spec.p)
+    trial = TrialSpec(sigma2_dagger=4.0, lambda_dagger=0.35)
+    sigma2_0, lambda_star = 0.8, 0.6
+    chain = sample_trial(wide_spec, beta0, trial, 40, 12)
+    n = wide_spec.n
+    k = chain.active.sum(axis=1)
+    base = (chain.beta_matrix() - beta0) @ wide_spec.gram
+    scaled_s = chain.subgrad_matrix() * wide_spec.weights
+    q_target = [rowspace_qform(wide_spec.X, u) for u in base + lambda_star * scaled_s]
+    q_trial = [rowspace_qform(wide_spec.X, u) for u in base + trial.lambda_dagger * scaled_s]
+    expected = (
+        0.5 * n * np.array(q_trial) / trial.sigma2_dagger
+        - 0.5 * n * np.array(q_target) / sigma2_0
+        + (n - k) * np.log(lambda_star / trial.lambda_dagger)
+        + 0.5 * n * np.log(trial.sigma2_dagger / sigma2_0)
+    )
+    lw = chain_log_weights(chain, wide_spec, basis, sigma2_0, lambda_star, trial, beta0)
+    np.testing.assert_allclose(lw, expected, rtol=1e-10, atol=1e-10)
 
 
 def test_oversized_active_set_rejected():
@@ -114,7 +155,7 @@ def test_oversized_active_set_rejected():
     from lassodist import DataError
 
     with pytest.raises(DataError):
-        imp.log_importance_weight(state, spec, basis, 1.0, 1.0, trial, np.zeros(2))
+        chain_log_weights(one_row_chain(state), spec, basis, 1.0, 1.0, trial, np.zeros(2))
 
 
 def test_estimate_pvalue_all_or_nothing(identity_spec):

@@ -11,6 +11,7 @@ from lassodist import (
     ConvergenceError,
     DataError,
     Gaussian,
+    NumericalError,
     build_problem,
     direct_sample,
     lambda_grid,
@@ -240,3 +241,16 @@ def test_small_penalty_direct_sample_snaps_subgradient():
     assert chain.max_kkt_residual <= KKT_TOL
     inactive = chain.thetas[~chain.active]
     assert np.all(np.abs(inactive) <= 1.0)
+
+
+def test_unresolvable_penalty_is_numerical_error():
+    # Criterion-04 design at a penalty below what double precision resolves:
+    # the solver's own solution cannot be snapped, which is not a data error.
+    gen = np.random.default_rng(404)
+    shared = gen.standard_normal((50, 1))
+    X = np.sqrt(0.75) * gen.standard_normal((50, 10)) + np.sqrt(0.25) * shared
+    beta0 = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 0.18, 0.18])
+    spec = build_problem(X, 1.0, 1e-9)
+    with pytest.raises(NumericalError) as info:
+        direct_sample(spec, beta0, Gaussian(1.0), 200, 1404)
+    assert "1e-09" in str(info.value)
