@@ -157,6 +157,47 @@ def _resolve_model(args: argparse.Namespace, spec, y, center, sigma2, seed_seq):
     raise ConfigError(f"unknown error model {name!r}")
 
 
+def _resolve_law(args: argparse.Namespace, spec, y: np.ndarray):
+    """Center, noise variance, error model and run seed of a sampler run."""
+    center = _resolve_center(args, spec, y)
+    sigma2 = _resolve_sigma2(args, spec, y, center)
+    fit_seq, run_seq = seed_sequence(args.seed).spawn(2)
+    model = _resolve_model(args, spec, y, center, sigma2, fit_seq)
+    return center, sigma2, model, run_seq
+
+
+def _sampler_config(args: argparse.Namespace, spec, run_seq, center, sigma2: float):
+    return default_sampler_config(
+        spec,
+        run_seq,
+        iters=args.iters,
+        burn_in=args.burnin,
+        beta_ref=center,
+        sigma2_hat=sigma2,
+        K=args.K,
+        equilibrium_init=args.equilibrium_init,
+    )
+
+
+def _write_chain_outputs(
+    out: Path,
+    args: argparse.Namespace,
+    chain,
+    lam: float,
+    sigma2: float,
+    echo: dict,
+    outputs: list[str] | tuple[str, ...] = (),
+    noun: str = "states",
+) -> int:
+    """Write chain.csv, chain_meta.json and the manifest of a sampler run."""
+    write_chain_csv(chain, out / "chain.csv")
+    echo = {"lambda": lam, "sigma2": sigma2, "model": args.model, "seed": args.seed, **echo}
+    write_chain_meta(chain, out / "chain_meta.json", config_echo=echo)
+    _write_manifest(out, args, [*outputs, "chain.csv", "chain_meta.json"])
+    print(f"wrote chain.csv ({len(chain)} {noun}) and chain_meta.json to {out}")
+    return 0
+
+
 def _add_data_args(p: _Parser) -> None:
     p.add_argument("--x", required=True, help="design matrix CSV (n rows, p columns)")
     p.add_argument("--y", required=True, help="response CSV (n values)")
@@ -244,43 +285,14 @@ def _cmd_sample_joint(args: argparse.Namespace) -> int:
         raise ConfigError("provide --lambda or --lambda-frac (or just --lambda-grid)")
 
     spec = build_problem(X, weights, lam)
-    center = _resolve_center(args, spec, y)
-    sigma2 = _resolve_sigma2(args, spec, y, center)
-    fit_seq, run_seq = seed_sequence(args.seed).spawn(2)
-    model = _resolve_model(args, spec, y, center, sigma2, fit_seq)
-
+    center, sigma2, model, run_seq = _resolve_law(args, spec, y)
     if args.method == "direct":
         chain = direct_sample(spec, center, model, args.iters, run_seq)
     else:
-        config = default_sampler_config(
-            spec,
-            run_seq,
-            iters=args.iters,
-            burn_in=args.burnin,
-            beta_ref=center,
-            sigma2_hat=sigma2,
-            K=args.K,
-            equilibrium_init=args.equilibrium_init,
-        )
+        config = _sampler_config(args, spec, run_seq, center, sigma2)
         chain = mh_sample(spec, center, model, config)
-    write_chain_csv(chain, out / "chain.csv")
-    write_chain_meta(
-        chain,
-        out / "chain_meta.json",
-        config_echo={
-            "method": args.method,
-            "iters": args.iters,
-            "burnin": args.burnin,
-            "lambda": lam,
-            "sigma2": sigma2,
-            "model": args.model,
-            "seed": args.seed,
-        },
-    )
-    outputs += ["chain.csv", "chain_meta.json"]
-    _write_manifest(out, args, outputs)
-    print(f"wrote chain.csv ({len(chain)} states) and chain_meta.json to {out}")
-    return 0
+    echo = {"method": args.method, "iters": args.iters, "burnin": args.burnin}
+    return _write_chain_outputs(out, args, chain, lam, sigma2, echo, outputs)
 
 
 def _cmd_sample_cond(args: argparse.Namespace) -> int:
@@ -303,38 +315,11 @@ def _cmd_sample_cond(args: argparse.Namespace) -> int:
     if active.size and (active.min() < 0 or active.max() >= spec.p):
         raise ConfigError(f"--active indices must lie in [0, {spec.p})")
 
-    center = _resolve_center(args, spec, y)
-    sigma2 = _resolve_sigma2(args, spec, y, center)
-    fit_seq, run_seq = seed_sequence(args.seed).spawn(2)
-    model = _resolve_model(args, spec, y, center, sigma2, fit_seq)
-    config = default_sampler_config(
-        spec,
-        run_seq,
-        iters=args.iters,
-        burn_in=args.burnin,
-        beta_ref=center,
-        sigma2_hat=sigma2,
-        K=args.K,
-        equilibrium_init=args.equilibrium_init,
-    )
+    center, sigma2, model, run_seq = _resolve_law(args, spec, y)
+    config = _sampler_config(args, spec, run_seq, center, sigma2)
     chain = conditional_mh_sample(spec, center, model, active, config)
-    write_chain_csv(chain, out / "chain.csv")
-    write_chain_meta(
-        chain,
-        out / "chain_meta.json",
-        config_echo={
-            "active": active.tolist(),
-            "iters": args.iters,
-            "burnin": args.burnin,
-            "lambda": lam,
-            "sigma2": sigma2,
-            "model": args.model,
-            "seed": args.seed,
-        },
-    )
-    _write_manifest(out, args, ["chain.csv", "chain_meta.json"])
-    print(f"wrote chain.csv ({len(chain)} states) and chain_meta.json to {out}")
-    return 0
+    echo = {"active": active.tolist(), "iters": args.iters, "burnin": args.burnin}
+    return _write_chain_outputs(out, args, chain, lam, sigma2, echo)
 
 
 def _null_beta(args: argparse.Namespace, p: int) -> np.ndarray:
@@ -570,22 +555,8 @@ def _cmd_posterior_check(args: argparse.Namespace) -> int:
     chain = posterior_decision_sample(
         spec, y, model, args.L, args.seed, lam=args.decision_lambda
     )
-    write_chain_csv(chain, out / "chain.csv")
-    write_chain_meta(
-        chain,
-        out / "chain_meta.json",
-        config_echo={
-            "L": args.L,
-            "lambda": lam,
-            "decision_lambda": args.decision_lambda,
-            "sigma2": sigma2,
-            "model": args.model,
-            "seed": args.seed,
-        },
-    )
-    _write_manifest(out, args, ["chain.csv", "chain_meta.json"])
-    print(f"wrote chain.csv ({len(chain)} draws) and chain_meta.json to {out}")
-    return 0
+    echo = {"L": args.L, "decision_lambda": args.decision_lambda}
+    return _write_chain_outputs(out, args, chain, lam, sigma2, echo, noun="draws")
 
 
 def build_parser() -> _Parser:

@@ -396,10 +396,11 @@ def summarize_chain(chain: Chain, log_weights: np.ndarray | None = None) -> Summ
             m = float(vals @ wj)
             cond_mean[j] = m
             cond_sd[j] = math.sqrt(max(float((vals - m) ** 2 @ wj), 0.0))
-    freq: dict[str, float] = {}
-    for i in range(L):
-        key = active_bitmask(active[i])
-        freq[key] = freq.get(key, 0.0) + float(w[i])
+    # Models in order of first visit; bincount adds each model's weights in
+    # chain order, as a running sum would.
+    models, first, which = np.unique(active, axis=0, return_index=True, return_inverse=True)
+    mass = np.bincount(which.ravel(), weights=w, minlength=len(models))
+    freq = {active_bitmask(models[m]): float(mass[m]) for m in np.argsort(first)}
     return SummaryStats(
         select_prob=select_prob,
         quantile_lo=q_lo,

@@ -103,7 +103,7 @@ def chain_log_weights(
     spec: ProblemSpec,
     basis: SpectralBasis | None,
     sigma2_0: float,
-    lambda_star: float,
+    lambda_star: float | np.ndarray,
     trial: TrialSpec,
     beta0: np.ndarray,
 ) -> np.ndarray:
@@ -114,22 +114,28 @@ def chain_log_weights(
     With ``basis`` given the ratio is taken between row-space densities
     (p > n); otherwise between full-space densities (p <= n).  Everything
     except the score terms and the penalty power of the Jacobian cancels.
+    A scalar ``lambda_star`` gives shape (L,); a vector of T target
+    penalties gives shape (T, L), with the trial term computed once.
     """
     k = chain.active.sum(axis=1)
     if np.any(k > spec.n):
         raise DataError("active set larger than n has zero density in both laws")
-    q_target, q_trial = (
-        score_qform(scores(chain.thetas, chain.active, beta0, spec, lam), spec, basis)
-        for lam in (lambda_star, trial.lambda_dagger)
-    )
+    lambda_stars = np.asarray(lambda_star, dtype=float)
+
+    def qform(lam: float) -> np.ndarray:
+        return score_qform(scores(chain.thetas, chain.active, beta0, spec, lam), spec, basis)
+
     dim = spec.p if basis is None else spec.n
     n = spec.n
-    return (
-        0.5 * n * q_trial / trial.sigma2_dagger
-        - 0.5 * n * q_target / sigma2_0
-        + (dim - k) * math.log(lambda_star / trial.lambda_dagger)
+    trial_term = 0.5 * n * qform(trial.lambda_dagger) / trial.sigma2_dagger
+    log_weights = [
+        trial_term
+        - 0.5 * n * qform(lam) / sigma2_0
+        + (dim - k) * math.log(lam / trial.lambda_dagger)
         + 0.5 * dim * math.log(trial.sigma2_dagger / sigma2_0)
-    )
+        for lam in lambda_stars.ravel().tolist()
+    ]
+    return np.reshape(log_weights, lambda_stars.shape + k.shape)
 
 
 def coefficient_statistic(name: str, coord: int | None = None):
@@ -215,9 +221,9 @@ def multi_test(
     t_stars = np.atleast_1d(np.asarray(t_stars, dtype=float))
     if lambda_stars.shape != t_stars.shape:
         raise ConfigError("lambda_stars and t_stars must have matching length")
+    log_weights = chain_log_weights(chain, spec, basis, sigma2_0, lambda_stars, trial, beta0)
     results = []
-    for lam_star, t_star in zip(lambda_stars, t_stars):
-        lw = chain_log_weights(chain, spec, basis, sigma2_0, float(lam_star), trial, beta0)
+    for lam_star, t_star, lw in zip(lambda_stars, t_stars, log_weights):
         res = estimate_pvalue(chain, statistic, float(t_star), lw, lambda_star=float(lam_star))
         res.trial = trial
         results.append(res)

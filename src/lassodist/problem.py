@@ -1,9 +1,9 @@
-"""Regression problem context: Gram matrix, spectral bases, determinant sweeps.
+"""Regression problem context: Gram matrix, spectral bases, Jacobian determinants.
 
 Everything downstream (solver, densities, samplers) works against the
 objects defined here.  ``ProblemSpec`` is immutable and cheap to share
-between chains; ``SweepState`` is the single-owner mutable companion that
-tracks the active-set Gram inverse incrementally.
+between chains; :func:`log_det_jacobian` is the one log-determinant of
+the state-to-score map, used by the densities and by every MH move.
 """
 from __future__ import annotations
 
@@ -19,12 +19,9 @@ from .errors import ConfigError, DataError, NumericalError
 __all__ = [
     "ProblemSpec",
     "SpectralBasis",
-    "SweepState",
     "build_problem",
     "spectral_decompose",
     "log_det_jacobian",
-    "build_sweep_state",
-    "sweep_det_ratio",
     "synthetic_dataset",
 ]
 
@@ -96,20 +93,6 @@ class SpectralBasis:
     eigenvalues: np.ndarray
     row_basis: np.ndarray
     null_basis: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SweepState:
-    """Tracked inverse and log-determinant of the active Gram block.
-
-    ``active`` is kept sorted ascending.  Updates are copy-on-accept:
-    :func:`sweep_det_ratio` never mutates its input, so a rejected proposal
-    simply drops the returned state.
-    """
-
-    active: np.ndarray
-    inv_caa: np.ndarray
-    logdet_caa: float
 
 
 def build_problem(X: np.ndarray, w: np.ndarray | float, lam: float) -> ProblemSpec:
@@ -199,126 +182,37 @@ def spectral_decompose(spec: ProblemSpec) -> SpectralBasis:
     return SpectralBasis(eigenvalues=row_vals, row_basis=row_basis, null_basis=null_basis)
 
 
-def _as_index_array(A: np.ndarray, p: int) -> np.ndarray:
+def _active_mask(A: np.ndarray, p: int) -> np.ndarray:
     idx = np.asarray(A, dtype=int).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= p):
         raise ConfigError(f"active-set indices must lie in [0, {p})")
-    if np.unique(idx).size != idx.size:
+    mask = np.zeros(p, dtype=bool)
+    mask[idx] = True
+    if np.count_nonzero(mask) != idx.size:
         raise ConfigError("active-set indices must be distinct")
-    return np.sort(idx)
+    return mask
 
 
 def log_det_jacobian(A: np.ndarray, spec: ProblemSpec) -> float:
     """Log absolute determinant of the state-to-score Jacobian for active set A.
 
     Equals ``log det C_AA + |I| log(lam) + sum_{j notin A} log w_j`` where I
-    is the inactive set.  The active Gram block must be positive definite.
-    """
-    idx = _as_index_array(A, spec.p)
-    mask = np.zeros(spec.p, dtype=bool)
-    mask[idx] = True
-    if idx.size:
-        sign, logdet = np.linalg.slogdet(spec.gram[np.ix_(idx, idx)])
-        if sign <= 0 or not np.isfinite(logdet):
-            raise NumericalError("active Gram block is singular")
-    else:
-        logdet = 0.0
-    n_inactive = spec.p - idx.size
-    return float(logdet + n_inactive * np.log(spec.lam) + np.log(spec.weights[~mask]).sum())
-
-
-def build_sweep_state(spec: ProblemSpec, active: np.ndarray) -> SweepState:
-    """Construct the tracked inverse from scratch for the given active set."""
-    idx = _as_index_array(active, spec.p)
-    if idx.size == 0:
-        return SweepState(active=idx, inv_caa=np.empty((0, 0)), logdet_caa=0.0)
-    caa = spec.gram[np.ix_(idx, idx)]
-    try:
-        L = np.linalg.cholesky(caa)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("active Gram block is not positive definite") from exc
-    inv = cho_solve((L, True), np.eye(idx.size))
-    inv = (inv + inv.T) / 2.0
-    logdet = float(2.0 * np.sum(np.log(np.diag(L))))
-    return SweepState(active=idx, inv_caa=inv, logdet_caa=logdet)
-
-
-def sweep_det_ratio(
-    state: SweepState, spec: ProblemSpec, j: int, move: str
-) -> tuple[float, SweepState]:
-    """Determinant ratio |det D(A')| / |det D(A)| for a one-coordinate move.
-
-    ``move`` is ``"add"`` (j joins the active set) or ``"remove"``.  Returns
-    the ratio together with a new state tracking the updated inverse; the
-    input state is left untouched so rejected proposals can discard the
-    result.
+    is the inactive set.  One factorisation of the active Gram block, so a
+    one-coordinate move's determinant ratio is the difference of two calls.
 
     Raises
     ------
     NumericalError
-        If the rank-one update loses positive definiteness (callers should
-        fall back to a from-scratch rebuild).
+        If the active Gram block is singular.
     """
-    j = int(j)
-    if j < 0 or j >= spec.p:
-        raise ConfigError(f"coordinate {j} out of range [0, {spec.p})")
-    active = state.active
-    k = active.size
-
-    if move == "add":
-        if j in active:
-            raise ConfigError(f"coordinate {j} is already active")
-        cjj = spec.gram[j, j]
-        if k == 0:
-            if cjj <= 0:
-                raise NumericalError("nonpositive diagonal in rank-one update")
-            new_active = np.array([j], dtype=int)
-            new_inv = np.array([[1.0 / cjj]])
-            new_logdet = float(np.log(cjj))
-            ratio = cjj / (spec.lam * spec.weights[j])
-            return ratio, SweepState(new_active, new_inv, new_logdet)
-        cbj = spec.gram[active, j]
-        u = state.inv_caa @ cbj
-        schur = float(cjj - cbj @ u)
-        if schur <= 0 or not np.isfinite(schur):
-            raise NumericalError("nonpositive Schur complement in sweep add")
-        pos = int(np.searchsorted(active, j))
-        # Block-inverse with j appended last, then permuted into sorted order.
-        grown = np.empty((k + 1, k + 1))
-        grown[:k, :k] = state.inv_caa + np.outer(u, u) / schur
-        grown[:k, k] = -u / schur
-        grown[k, :k] = -u / schur
-        grown[k, k] = 1.0 / schur
-        perm = np.concatenate([np.arange(pos), [k], np.arange(pos, k)])
-        new_inv = grown[np.ix_(perm, perm)]
-        new_active = np.insert(active, pos, j)
-        new_logdet = state.logdet_caa + float(np.log(schur))
-        ratio = schur / (spec.lam * spec.weights[j])
-        return ratio, SweepState(new_active, new_inv, new_logdet)
-
-    if move == "remove":
-        pos_arr = np.nonzero(active == j)[0]
-        if pos_arr.size == 0:
-            raise ConfigError(f"coordinate {j} is not active")
-        pos = int(pos_arr[0])
-        d = float(state.inv_caa[pos, pos])
-        if d <= 0 or not np.isfinite(d):
-            raise NumericalError("nonpositive pivot in sweep remove")
-        keep = np.arange(k) != pos
-        col = state.inv_caa[keep, pos]
-        new_inv = state.inv_caa[np.ix_(keep, keep)] - np.outer(col, col) / d
-        new_inv = (new_inv + new_inv.T) / 2.0
-        new_active = active[keep]
-        new_logdet = state.logdet_caa + float(np.log(d))
-        ratio = d * spec.lam * spec.weights[j]
-        return ratio, SweepState(new_active, new_inv, new_logdet)
-
-    raise ConfigError(f"unknown sweep move {move!r}")
-
-
-def refresh_sweep_state(spec: ProblemSpec, state: SweepState) -> SweepState:
-    """Rebuild the tracked inverse from scratch to shed accumulated drift."""
-    return build_sweep_state(spec, state.active)
+    mask = _active_mask(A, spec.p)
+    k = int(np.count_nonzero(mask))
+    logdet = 0.0
+    if k:
+        sign, logdet = np.linalg.slogdet(spec.gram[mask][:, mask])
+        if sign <= 0 or not np.isfinite(logdet):
+            raise NumericalError("active Gram block is singular")
+    return float(logdet + (spec.p - k) * np.log(spec.lam) + np.log(spec.weights[~mask]).sum())
 
 
 def synthetic_dataset(

@@ -26,7 +26,7 @@ from .density import (
     validate_state,
 )
 from .errors import ConfigError, ConvergenceError, DataError, NumericalError
-from .problem import ProblemSpec, SweepState, build_sweep_state, sweep_det_ratio
+from .problem import ProblemSpec, log_det_jacobian
 from .rng import Seed, generator, seed_sequence
 from .solver import solve_lasso
 
@@ -42,8 +42,6 @@ __all__ = [
     "read_chain_csv",
     "write_chain_meta",
 ]
-
-REFRESH_EVERY = 1000
 
 COEF_UPDATE = "coef_update"
 SUBGRAD_UPDATE = "subgrad_update"
@@ -208,24 +206,19 @@ class _MhEngine:
 
     Tracks the score image ``H`` of the current state, its Gram-inverse
     image ``G`` (so the Mahalanobis form is one dot product away), and the
-    sweep state for active-block determinant ratios.  Proposals build the
-    candidate H/G in O(p) and mutate only on acceptance.
+    log Jacobian ``log_jac`` of the current active set.  Proposals build
+    the candidate H/G in O(p) and mutate only on acceptance.  An add/drop
+    proposal takes ``log_det_jacobian`` of the new active set from scratch,
+    so its determinant ratio is ``log_jac_new - log_jac``; a singular new
+    active block rejects the proposal.
     """
 
-    def __init__(
-        self,
-        beta: np.ndarray,
-        model: ErrorModel,
-        tau: np.ndarray,
-        track_dets: bool = True,
-    ) -> None:
+    def __init__(self, beta: np.ndarray, model: ErrorModel, tau: np.ndarray) -> None:
         self.beta = np.asarray(beta, dtype=float)
         self.model = model
         self.tau = np.asarray(tau, dtype=float)
-        self.track_dets = track_dets
         self.accepts = dict.fromkeys(MOVE_KINDS, 0)
         self.attempts = dict.fromkeys(MOVE_KINDS, 0)
-        self.model_moves = 0
         self.spec: ProblemSpec | None = None
         self.theta: np.ndarray | None = None
         self.active: np.ndarray | None = None
@@ -246,15 +239,11 @@ class _MhEngine:
         self.H = scores(self.theta, self.active, self.beta, spec)
         self.G = spec.gram_inv @ self.H
         self.loglik = log_error_density_from_qform(self.model, float(self.H @ self.G), spec)
-        if self.track_dets:
-            self.sweep = build_sweep_state(spec, np.nonzero(self.active)[0])
+        self.log_jac = log_det_jacobian(np.flatnonzero(self.active), spec)
 
     def log_posterior(self) -> float:
         """Log target up to a constant (used by design-refresh acceptance)."""
-        value = self.loglik
-        if self.track_dets:
-            value += self.sweep.logdet_caa
-        return value
+        return self.loglik + self.log_jac
 
     def _candidate_loglik(self, H_new: np.ndarray, G_new: np.ndarray) -> float:
         return log_error_density_from_qform(
@@ -267,11 +256,6 @@ class _MhEngine:
         self.loglik = loglik_new
         self.accepts[kind] += 1
 
-    def _bump_refresh(self) -> None:
-        self.model_moves += 1
-        if self.model_moves % REFRESH_EVERY == 0:
-            self.rebuild()
-
     def coef_update(self, j: int, b_new: float, log_u: float) -> None:
         self.attempts[COEF_UPDATE] += 1
         if b_new == 0.0:
@@ -280,7 +264,8 @@ class _MhEngine:
         b_old = self.theta[j]
         ds = np.sign(b_new) - np.sign(b_old)
         H_new = self.H + spec.gram[:, j] * (b_new - b_old)
-        G_new = self.G + (b_new - b_old) * _unit_increment(spec.p, j)
+        G_new = self.G.copy()
+        G_new[j] += b_new - b_old
         if ds != 0.0:
             lw = spec.lam * spec.weights[j]
             H_new[j] += lw * ds
@@ -303,30 +288,21 @@ class _MhEngine:
             self.theta[j] = s_new
             self._accept(H_new, G_new, loglik_new, SUBGRAD_UPDATE)
 
-    def _det_move(self, j: int, move: str) -> tuple[float, SweepState] | None:
-        """Full determinant ratio for add/remove, with rebuild fallback."""
-        spec = self.spec
+    def _toggled_log_jac(self, j: int) -> float | None:
+        """Log Jacobian with coordinate j's membership flipped; None if singular."""
+        mask = self.active.copy()
+        mask[j] = not mask[j]
         try:
-            return sweep_det_ratio(self.sweep, spec, j, move)
+            return log_det_jacobian(np.flatnonzero(mask), self.spec)
         except NumericalError:
-            mask = self.active.copy()
-            mask[j] = move == "add"
-            try:
-                fresh = build_sweep_state(spec, np.nonzero(mask)[0])
-            except NumericalError:
-                return None
-            log_cratio = fresh.logdet_caa - self.sweep.logdet_caa
-            lw = math.log(spec.lam * spec.weights[j])
-            log_ratio = log_cratio + (lw if move == "remove" else -lw)
-            return math.exp(log_ratio), fresh
+            return None
 
     def drop_coord(self, j: int, s_new: float, log_u: float) -> None:
         self.attempts[DROP_COORD] += 1
         spec = self.spec
-        det = self._det_move(j, "remove")
-        if det is None:
+        log_jac_new = self._toggled_log_jac(j)
+        if log_jac_new is None:
             return
-        ratio_det, sweep_new = det
         b_old = self.theta[j]
         lw = spec.lam * spec.weights[j]
         ds = s_new - np.sign(b_old)
@@ -339,26 +315,24 @@ class _MhEngine:
         log_ratio = (
             loglik_new
             - self.loglik
-            + math.log(ratio_det)
+            + (log_jac_new - self.log_jac)
             + _normal_logpdf(b_old, tau_j)
             - math.log(0.5)
         )
         if log_u <= log_ratio:
             self.theta[j] = s_new
             self.active[j] = False
-            self.sweep = sweep_new
+            self.log_jac = log_jac_new
             self._accept(H_new, G_new, loglik_new, DROP_COORD)
-            self._bump_refresh()
 
     def add_coord(self, j: int, b_new: float, log_u: float) -> None:
         self.attempts[ADD_COORD] += 1
         if b_new == 0.0:
             return
         spec = self.spec
-        det = self._det_move(j, "add")
-        if det is None:
+        log_jac_new = self._toggled_log_jac(j)
+        if log_jac_new is None:
             return
-        ratio_det, sweep_new = det
         s_old = self.theta[j]
         lw = spec.lam * spec.weights[j]
         ds = np.sign(b_new) - s_old
@@ -371,16 +345,15 @@ class _MhEngine:
         log_ratio = (
             loglik_new
             - self.loglik
-            + math.log(ratio_det)
+            + (log_jac_new - self.log_jac)
             + math.log(0.5)
             - _normal_logpdf(b_new, tau_j)
         )
         if log_u <= log_ratio:
             self.theta[j] = b_new
             self.active[j] = True
-            self.sweep = sweep_new
+            self.log_jac = log_jac_new
             self._accept(H_new, G_new, loglik_new, ADD_COORD)
-            self._bump_refresh()
 
     def mixed_iteration(
         self,
@@ -416,12 +389,6 @@ class _MhEngine:
                 self.coef_update(j, self.theta[j] + self.tau[j] * normals[j], log_u[j])
             else:
                 self.subgrad_update(j, unifs[j], log_u[j])
-
-
-def _unit_increment(p: int, j: int) -> np.ndarray:
-    e = np.zeros(p)
-    e[j] = 1.0
-    return e
 
 
 def _normal_logpdf(x: float, sd: float) -> float:
@@ -549,9 +516,10 @@ def conditional_mh_sample(
 ) -> Chain:
     """MH chain conditioned on a fixed active set.
 
-    Only coefficient and subgradient updates are proposed, so no
-    determinant evaluations occur.  With ``equilibrium_init`` the starting
-    point is found by rejection: exact draws until one hits ``A_star``.
+    Only coefficient and subgradient updates are proposed, so the log
+    Jacobian is computed once, at the start.  With ``equilibrium_init``
+    the starting point is found by rejection: exact draws until one hits
+    ``A_star``.
     """
     if spec.p > spec.n:
         raise ConfigError("the conditional sampler requires p <= n")
@@ -589,7 +557,7 @@ def conditional_mh_sample(
         theta0 = np.where(target, spec.lam, 0.0)
         active0 = target
 
-    engine = _MhEngine(beta, model, config.tau, track_dets=False)
+    engine = _MhEngine(beta, model, config.tau)
     engine.set_design(spec)
     engine.set_state(theta0, active0)
     return _run_chain(engine, config, burn_in, generator(moves_seq), conditional=True)

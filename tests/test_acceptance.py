@@ -27,7 +27,6 @@ from lassodist import (
     inactive_null_basis,
     log_density,
     log_density_rowspace,
-    log_det_jacobian,
     mh_sample,
     multi_pvalue_study,
     posterior_decision_sample,
@@ -40,10 +39,11 @@ from lassodist import (
     spectral_decompose,
 )
 from lassodist.density import log_det_rowspace_jacobian, state_from_arrays
-from lassodist.problem import build_sweep_state, sweep_det_ratio
+from lassodist.samplers import _MhEngine
 
 from oracles import (
     ar1_series,
+    assemble_jacobian,
     cell_probability,
     mixed_density_integral,
     split_normal_cdf,
@@ -331,38 +331,53 @@ def test_c06_jacobian_penalty_scaling_and_basis_invariance():
 
 
 def test_c07_sweep_ratios_track_exact_determinants():
-    """500-step add/remove walk: accumulated ratios vs from-scratch values."""
+    """500-step add/drop walk of the MH engine: tracked log Jacobians vs the oracle.
+
+    Every move is forced through (log u = -inf).  After each one the
+    engine's log Jacobian must match log|det D(A)| of the dense oracle
+    assembly, and the summed per-move ratios must match the oracle's
+    end-to-start difference.
+    """
     gen = np.random.default_rng(707)
     X = gen.standard_normal((80, 50))
     spec = build_problem(X, gen.uniform(0.5, 1.5, 50), 0.35)
-    state = build_sweep_state(spec, np.array([], dtype=int))
-    logsum = 0.0
+    engine = _MhEngine(np.zeros(50), Gaussian(1.0), np.ones(50))
+    engine.set_design(spec)
+    engine.set_state(np.zeros(50), np.zeros(50, dtype=bool))
+
+    def oracle_log_jac() -> tuple[float, float]:
+        D = assemble_jacobian(spec.gram, spec.weights, spec.lam, np.flatnonzero(engine.active))
+        return np.linalg.slogdet(D)
+
+    _, start_exact = oracle_log_jac()
+    logsum, err_step, singular, k_max = 0.0, 0.0, 0, 0
+    tick = time.perf_counter()
     for _ in range(500):
-        k = state.active.size
-        if k < 50 and (k == 0 or gen.random() < 0.5):
-            j = int(gen.choice(np.setdiff1d(np.arange(50), state.active)))
-            ratio, state = sweep_det_ratio(state, spec, j, "add")
+        active = np.flatnonzero(engine.active)
+        before = engine.log_jac
+        if active.size < 50 and (active.size == 0 or gen.random() < 0.5):
+            j = int(gen.choice(np.setdiff1d(np.arange(50), active)))
+            engine.add_coord(j, 0.5, -math.inf)
         else:
-            j = int(gen.choice(state.active))
-            ratio, state = sweep_det_ratio(state, spec, j, "remove")
-        logsum += math.log(ratio)
-    delta = log_det_jacobian(state.active, spec) - log_det_jacobian(
-        np.array([], dtype=int), spec
-    )
-    if state.active.size:
-        block = spec.gram[np.ix_(state.active, state.active)]
-        sign, exact_block = np.linalg.slogdet(block)
-    else:
-        sign, exact_block = 1.0, 0.0
+            j = int(gen.choice(active))
+            engine.drop_coord(j, 0.0, -math.inf)
+        logsum += engine.log_jac - before
+        sign, exact = oracle_log_jac()
+        singular += sign == 0
+        err_step = max(err_step, abs(engine.log_jac - exact) / max(1.0, abs(exact)))
+        k_max = max(k_max, int(engine.active.sum()))
+    elapsed = time.perf_counter() - tick
+    delta = exact - start_exact
     err_walk = abs(logsum - delta) / max(1.0, abs(delta))
-    err_block = abs(state.logdet_caa - exact_block) / max(1.0, abs(exact_block))
-    ok = err_walk <= 1e-8 and err_block <= 1e-8 and sign > 0
+    moves = engine.accepts["add_coord"] + engine.accepts["drop_coord"]
+    ok = err_walk <= 1e-8 and err_step <= 1e-8 and singular == 0 and moves == 500
     _verdict(
         7,
         ok,
-        "sweep determinant walk",
-        f"walk drift {err_walk:.1e}, tracked block drift {err_block:.1e}, "
-        f"final support {state.active.size} (rel tol 1e-8)",
+        "add/drop determinant walk",
+        f"walk drift {err_walk:.1e}, worst step error {err_step:.1e}, "
+        f"final support {int(engine.active.sum())} (max {k_max}), "
+        f"{moves} moves in {elapsed:.2f} s (rel tol 1e-8)",
     )
 
 

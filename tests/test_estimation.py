@@ -33,6 +33,7 @@ from lassodist import (
     validate_state,
 )
 from lassodist.rng import generator
+from lassodist.samplers import active_bitmask
 
 from oracles import ar1_series, cell_probability, soft_threshold
 
@@ -311,6 +312,24 @@ def test_summarize_chain_weighted():
     assert s.cond_mean[0] == pytest.approx(1.0)
     freqs = sorted(s.model_freq.values())
     assert freqs == pytest.approx([0.25, 0.75])
+
+
+def test_summarize_chain_model_freq_matches_running_sums():
+    gen = np.random.default_rng(31)
+    active = gen.random((400, 6)) < 0.3
+    chain = make_chain(gen.standard_normal((400, 6)), active)
+    for log_weights in (None, gen.standard_normal(400)):
+        if log_weights is None:
+            w = np.full(400, 1.0 / 400)
+        else:
+            w = np.exp(log_weights - log_weights.max())
+            w = w / w.sum()
+        expected: dict[str, float] = {}
+        for i in range(400):
+            key = active_bitmask(active[i])
+            expected[key] = expected.get(key, 0.0) + float(w[i])
+        freq = summarize_chain(chain, log_weights).model_freq
+        assert list(freq.items()) == list(expected.items())
 
 
 def test_summarize_chain_guards():

@@ -89,6 +89,20 @@ def test_log_weight_is_full_density_ratio_low_dim(small_spec):
         assert lw[i] == pytest.approx(expected, abs=1e-9)
 
 
+def test_log_weights_vector_target_equals_scalar_calls(small_spec, wide_spec):
+    trial = TrialSpec(sigma2_dagger=2.5, lambda_dagger=0.45)
+    lambda_stars = np.array([0.2, 0.8, 0.45])
+    for spec, basis in ((small_spec, None), (wide_spec, spectral_decompose(wide_spec))):
+        beta0 = np.zeros(spec.p)
+        chain = sample_trial(spec, beta0, trial, 7, 4)
+        block = chain_log_weights(chain, spec, basis, 0.7, lambda_stars, trial, beta0)
+        assert block.shape == (3, 7)
+        for row, lam in zip(block, lambda_stars):
+            single = chain_log_weights(chain, spec, basis, 0.7, float(lam), trial, beta0)
+            assert single.shape == (7,)
+            np.testing.assert_array_equal(row, single)
+
+
 def test_log_weight_is_full_density_ratio_high_dim():
     spec = build_problem(np.array([[1.0, 1.0]]), 1.0, 0.6)
     basis = spectral_decompose(spec)

@@ -14,7 +14,7 @@ from lassodist import (
     spectral_decompose,
     synthetic_dataset,
 )
-from lassodist.problem import build_sweep_state, eigen_cut, sweep_det_ratio
+from lassodist.problem import eigen_cut
 
 from oracles import assemble_jacobian
 
@@ -106,52 +106,6 @@ def test_log_det_jacobian_matches_dense_assembly():
         if sign == 0:
             continue
         assert log_det_jacobian(active, spec) == pytest.approx(expected, abs=1e-9)
-
-
-def test_sweep_add_ratio_half_correlated_pair():
-    gram_x = np.array([[1.0, 0.5], [0.5, 1.0]])
-    X = np.linalg.cholesky(2 * gram_x).T
-    spec = build_problem(X, 1.0, 1.0)
-    state = build_sweep_state(spec, np.array([0]))
-    ratio, new_state = sweep_det_ratio(state, spec, 1, "add")
-    assert ratio == pytest.approx(0.75)
-    assert new_state.active.tolist() == [0, 1]
-    # det C_{A} ratio: det([[1,.5],[.5,1]]) / det([[1]]) = 0.75
-    assert math.exp(new_state.logdet_caa - state.logdet_caa) == pytest.approx(0.75)
-
-
-def test_sweep_walk_matches_fresh_determinants():
-    gen = np.random.default_rng(23)
-    p, n = 12, 40
-    X = gen.standard_normal((n, p))
-    w = gen.uniform(0.5, 1.5, p)
-    spec = build_problem(X, w, 0.4)
-    state = build_sweep_state(spec, np.array([0, 3]))
-    log_ratio_sum = 0.0
-    start_logdet = log_det_jacobian(state.active, spec)
-    for _ in range(200):
-        j = int(gen.integers(0, p))
-        move = "remove" if j in state.active else "add"
-        if move == "remove" and state.active.size == 1:
-            continue
-        ratio, state = sweep_det_ratio(state, spec, j, move)
-        log_ratio_sum += math.log(abs(ratio))
-    end_logdet = log_det_jacobian(state.active, spec)
-    assert log_ratio_sum == pytest.approx(end_logdet - start_logdet, abs=1e-8)
-    fresh = build_sweep_state(spec, state.active)
-    np.testing.assert_allclose(state.inv_caa, fresh.inv_caa, atol=1e-8)
-
-
-def test_sweep_remove_requires_membership(small_spec):
-    state = build_sweep_state(small_spec, np.array([1]))
-    with pytest.raises(ConfigError):
-        sweep_det_ratio(state, small_spec, 3, "remove")
-
-
-def test_sweep_add_rejects_duplicate(small_spec):
-    state = build_sweep_state(small_spec, np.array([1]))
-    with pytest.raises(ConfigError):
-        sweep_det_ratio(state, small_spec, 1, "add")
 
 
 def test_gram_cholesky_rejects_singular():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import lassodist.samplers
 from lassodist import (
     ConfigError,
     Gaussian,
@@ -24,14 +26,30 @@ from lassodist import (
 )
 from lassodist.density import sample_errors, state_from_arrays, validate_state
 from lassodist.rng import generator, seed_sequence
-from lassodist.samplers import SamplerConfig, active_bitmask, mask_from_bitmask
+from lassodist.samplers import SamplerConfig, _MhEngine, active_bitmask, mask_from_bitmask
 
-from oracles import cell_probability
+from oracles import assemble_jacobian, cell_probability
 
 
 def identity_problem(lam=0.5, n=2):
     X = np.sqrt(n) * np.eye(n)[:, :2]
     return build_problem(X, 1.0, lam)
+
+
+def mh_engine(spec, active=()):
+    """An engine at theta = 0.5 on ``active``, subgradients 0 elsewhere."""
+    mask = np.zeros(spec.p, dtype=bool)
+    mask[list(active)] = True
+    engine = _MhEngine(np.zeros(spec.p), Gaussian(1.0), np.ones(spec.p))
+    engine.set_design(spec)
+    engine.set_state(np.where(mask, 0.5, 0.0), mask)
+    return engine
+
+
+def oracle_log_jac(engine):
+    spec = engine.spec
+    D = assemble_jacobian(spec.gram, spec.weights, spec.lam, np.flatnonzero(engine.active))
+    return np.linalg.slogdet(D)[1]
 
 
 def test_direct_sample_is_reproducible(identity_spec):
@@ -279,3 +297,56 @@ def test_conditional_init_takes_first_matching_draw(small_spec):
     )
     np.testing.assert_array_equal(chain.active, ref.active)
     np.testing.assert_allclose(chain.thetas, ref.thetas, atol=1e-6)
+
+
+def test_add_move_ratio_half_correlated_pair():
+    gram_x = np.array([[1.0, 0.5], [0.5, 1.0]])
+    X = np.linalg.cholesky(2 * gram_x).T
+    spec = build_problem(X, 1.0, 1.0)
+    engine = mh_engine(spec, [0])
+    before = engine.log_jac
+    engine.add_coord(1, 0.5, -math.inf)
+    assert engine.active.tolist() == [True, True]
+    # |det D| ratio: det([[1,.5],[.5,1]]) / (det([[1]]) * lam * w_1) = 0.75
+    assert math.exp(engine.log_jac - before) == pytest.approx(0.75)
+    assert engine.log_jac == pytest.approx(oracle_log_jac(engine), abs=1e-12)
+
+
+def test_add_drop_walk_matches_fresh_determinants():
+    gen = np.random.default_rng(23)
+    p, n = 12, 40
+    X = gen.standard_normal((n, p))
+    w = gen.uniform(0.5, 1.5, p)
+    spec = build_problem(X, w, 0.4)
+    engine = mh_engine(spec, [0, 3])
+    start = oracle_log_jac(engine)
+    log_ratio_sum = 0.0
+    for _ in range(200):
+        j = int(gen.integers(0, p))
+        before = engine.log_jac
+        if engine.active[j]:
+            engine.drop_coord(j, 0.0, -math.inf)
+        else:
+            engine.add_coord(j, 0.5, -math.inf)
+        log_ratio_sum += engine.log_jac - before
+    assert engine.accepts["add_coord"] + engine.accepts["drop_coord"] == 200
+    end = oracle_log_jac(engine)
+    assert engine.log_jac == pytest.approx(end, abs=1e-9)
+    assert log_ratio_sum == pytest.approx(end - start, abs=1e-8)
+
+
+def test_singular_move_is_counted_and_rejected(small_spec, monkeypatch):
+    engine = mh_engine(small_spec, [1, 3])
+    theta, active, log_jac = engine.theta.copy(), engine.active.copy(), engine.log_jac
+
+    def singular(A, spec):
+        raise NumericalError("active Gram block is singular")
+
+    monkeypatch.setattr(lassodist.samplers, "log_det_jacobian", singular)
+    engine.add_coord(0, 0.7, -math.inf)
+    engine.drop_coord(1, 0.2, -math.inf)
+    assert engine.attempts["add_coord"] == 1 and engine.attempts["drop_coord"] == 1
+    assert engine.accepts["add_coord"] == 0 and engine.accepts["drop_coord"] == 0
+    np.testing.assert_array_equal(engine.theta, theta)
+    np.testing.assert_array_equal(engine.active, active)
+    assert engine.log_jac == log_jac

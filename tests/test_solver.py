@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lassodist.samplers
@@ -143,30 +143,76 @@ def _batch_instance(seed, n_lo, n_hi, p_lo, p_hi, L):
     return spec, Y
 
 
+def _stopping_bounds(spec, active):
+    """How far a solve stopped by the KKT rule may sit from the exact solution.
+
+    The solver stops once each coordinate's KKT defect is at most KKT_TOL.
+    On the support A that means g_A = c_A - C_AA b_A - lam W_A s_A has
+    ||g_A||_inf <= KKT_TOL, where c = X'y/n; off it, b is zero.  The exact
+    solution b* has the same support and signs and solves
+    C_AA b*_A = c_A - lam W_A s_A, so C_AA (b*_A - b_A) = g_A and
+
+        ||b* - b||_inf <= KKT_TOL * ||C_AA^-1||_inf.
+
+    An inactive subgradient is (c_j - C_jA b_A) / (lam w_j), clipped to
+    [-1, 1], so it moves by at most sum_a |C_ja| / (lam w_j) times that.
+    Active subgradients are exact signs in both.  The slack covers
+    rounding in the oracle's own solve and in X'y/n, not solver error.
+    Returns (coefficient bound, subgradient bound).
+    """
+    if not active.any():
+        return 0.0, 1e-12
+    inv = np.linalg.inv(spec.gram[np.ix_(active, active)])
+    coef = KKT_TOL * float(np.abs(inv).sum(axis=1).max()) * (1 + 1e-6)
+    coupling = np.abs(spec.gram[np.ix_(~active, active)]).sum(axis=1)
+    lam_w = spec.lam * spec.weights[~active]
+    return coef, coef * float(np.max(coupling / lam_w, initial=0.0)) + 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(177)
+@example(1367)
 def test_batch_matches_enumeration_oracle(seed):
+    """Every batch row matches the enumeration oracle within the stopping rule's bounds.
+
+    See _stopping_bounds for the derivation.  No fixed tolerance follows
+    from the stopping rule: seeds 177 and 1367 have ||C_AA^-1||_inf near
+    35 and sit 2e-7 from the exact coefficients.
+    """
     spec, Y = _batch_instance(seed, 5, 9, 2, 4, 12)
     fit = solve_lasso(spec, Y)
     assert fit.beta_hat.shape == (12, spec.p)
     for i, y in enumerate(Y):
         xty = spec.X.T @ y / spec.n
         beta_ref, s_ref = enumerate_lasso(spec.gram, xty, spec.weights, spec.lam)
-        np.testing.assert_allclose(fit.beta_hat[i], beta_ref, atol=1e-7)
-        np.testing.assert_allclose(fit.subgrad[i], s_ref, atol=1e-6)
         np.testing.assert_array_equal(fit.active[i], beta_ref != 0)
+        coef, subgrad = _stopping_bounds(spec, beta_ref != 0)
+        np.testing.assert_allclose(fit.beta_hat[i], beta_ref, rtol=0, atol=coef)
+        np.testing.assert_allclose(fit.subgrad[i], s_ref, rtol=0, atol=subgrad)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(132)
+@example(173)
+@example(8040)
 def test_batch_rows_equal_single_solves(seed):
+    """Each batch row matches its one-row solve within twice the stopping rule's bounds.
+
+    Both solves lie within the bounds of _stopping_bounds of the exact
+    solution on their common support, so within twice them of each other.
+    Seeds 132 and 173 differ by 2.5e-7 and 6.4e-7 in a coefficient, and
+    seed 8040 by 1.1e-6 in an inactive subgradient.
+    """
     spec, Y = _batch_instance(seed, 8, 30, 2, 12, 25)
     batch = solve_lasso(spec, Y)
     for i, y in enumerate(Y):
         one = solve_lasso(spec, y)
         np.testing.assert_array_equal(batch.active[i], one.active)
-        np.testing.assert_allclose(batch.beta_hat[i], one.beta_hat, atol=1e-7)
-        np.testing.assert_allclose(batch.subgrad[i], one.subgrad, atol=1e-6)
+        coef, subgrad = _stopping_bounds(spec, one.active)
+        np.testing.assert_allclose(batch.beta_hat[i], one.beta_hat, rtol=0, atol=2 * coef)
+        np.testing.assert_allclose(batch.subgrad[i], one.subgrad, rtol=0, atol=2 * subgrad)
         assert one.kkt_residual <= batch.kkt_residual + KKT_TOL
 
 
