@@ -173,13 +173,19 @@ def estimate_pvalue(
     ``statistic`` maps a coefficient vector to a scalar.  All sums run in
     log space so weights spanning hundreds of orders of magnitude are safe.
     """
-    L = len(chain)
+    return _tail_estimate(_statistic_values(chain, statistic), t_star, log_weights, lambda_star)
+
+
+def _tail_estimate(
+    values: np.ndarray, t_star: float, log_weights: np.ndarray, lambda_star: float | None
+) -> ISResult:
+    """``estimate_pvalue`` given the statistic value of every state."""
+    L = len(values)
     log_weights = np.asarray(log_weights, dtype=float)
     if log_weights.shape != (L,):
         raise DataError("need one log-weight per state")
     if np.all(np.isneginf(log_weights)):
         raise NumericalError("all importance weights are zero")
-    values = _statistic_values(chain, statistic)
     hit = np.abs(values) >= t_star
     log_den = float(logsumexp(log_weights))
     estimate = float(np.exp(logsumexp(log_weights[hit]) - log_den)) if hit.any() else 0.0
@@ -189,7 +195,7 @@ def estimate_pvalue(
         warnings.warn(
             f"importance weights are degenerate (ess {ess:.2f} of {L})",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return ISResult(
         estimate=estimate,
@@ -222,9 +228,10 @@ def multi_test(
     if lambda_stars.shape != t_stars.shape:
         raise ConfigError("lambda_stars and t_stars must have matching length")
     log_weights = chain_log_weights(chain, spec, basis, sigma2_0, lambda_stars, trial, beta0)
+    values = _statistic_values(chain, statistic)
     results = []
     for lam_star, t_star, lw in zip(lambda_stars, t_stars, log_weights):
-        res = estimate_pvalue(chain, statistic, float(t_star), lw, lambda_star=float(lam_star))
+        res = _tail_estimate(values, float(t_star), lw, float(lam_star))
         res.trial = trial
         results.append(res)
     return results

@@ -6,10 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm
 
 import lassodist.samplers
 from lassodist import (
     ConfigError,
+    DataError,
     Gaussian,
     NumericalError,
     StudentT,
@@ -26,7 +30,9 @@ from lassodist import (
 )
 from lassodist.density import sample_errors, state_from_arrays, validate_state
 from lassodist.rng import generator, seed_sequence
-from lassodist.samplers import SamplerConfig, _MhEngine, active_bitmask, mask_from_bitmask
+from lassodist.problem import synthetic_dataset
+from lassodist.samplers import _CAP_SLACK, SamplerConfig, _MhEngine
+from lassodist.solver import lambda_max
 
 from oracles import assemble_jacobian, cell_probability
 
@@ -46,10 +52,13 @@ def mh_engine(spec, active=()):
     return engine
 
 
-def oracle_log_jac(engine):
-    spec = engine.spec
-    D = assemble_jacobian(spec.gram, spec.weights, spec.lam, np.flatnonzero(engine.active))
+def oracle_log_det(spec, mask):
+    D = assemble_jacobian(spec.gram, spec.weights, spec.lam, np.flatnonzero(mask))
     return np.linalg.slogdet(D)[1]
+
+
+def oracle_log_jac(engine):
+    return oracle_log_det(engine.spec, engine.active)
 
 
 def test_direct_sample_is_reproducible(identity_spec):
@@ -229,13 +238,20 @@ def test_seed_types_agree(identity_spec):
     np.testing.assert_array_equal(a.thetas, b.thetas)
 
 
-def test_bitmask_round_trip():
+def test_bitmask_round_trip(tmp_path):
     gen = np.random.default_rng(2)
     for p in (3, 64, 70):
-        mask = gen.random(p) < 0.4
-        text = active_bitmask(mask)
-        back = mask_from_bitmask(text, p)
-        np.testing.assert_array_equal(back, mask)
+        active = gen.random((6, p)) < 0.4
+        active[0] = False
+        chain = lassodist.samplers.Chain(
+            thetas=gen.standard_normal((6, p)), active=active, iterations=np.arange(6)
+        )
+        path = tmp_path / f"mask{p}.csv"
+        write_chain_csv(chain, path)
+        cells = [line.split(",")[1] for line in path.read_text().splitlines()]
+        # bit j of the hex integer is set exactly when coordinate j is active
+        assert cells == [format(sum(1 << int(j) for j in np.flatnonzero(m)), "x") for m in active]
+        np.testing.assert_array_equal(read_chain_csv(path).active, active)
 
 
 def test_chain_csv_round_trip(tmp_path, small_spec):
@@ -249,6 +265,18 @@ def test_chain_csv_round_trip(tmp_path, small_spec):
     second = tmp_path / "again.csv"
     write_chain_csv(loaded, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n\n", "1,3,0.5,0.2\n2,1,0.5\n", "1,3\n2,1\n"],
+    ids=["empty", "blank", "ragged", "no-theta"],
+)
+def test_read_chain_csv_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "chain.csv"
+    path.write_text(text)
+    with pytest.raises(DataError):
+        read_chain_csv(path)
 
 
 def test_chain_meta_sidecar(tmp_path, identity_spec):
@@ -350,3 +378,167 @@ def test_singular_move_is_counted_and_rejected(small_spec, monkeypatch):
     np.testing.assert_array_equal(engine.theta, theta)
     np.testing.assert_array_equal(engine.active, active)
     assert engine.log_jac == log_jac
+
+
+def _cap(spec, inv_gram, j, adding):
+    """Schur-complement cap on the log-determinant term of an add/drop move on j."""
+    lw = spec.lam * spec.weights[j]
+    return math.log(spec.gram[j, j] / lw) if adding else math.log(inv_gram[j, j] * lw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_toggle_log_det_ratio_within_schur_bounds(seed, ill):
+    """The oracle determinant ratio of every add/drop lies between the two Schur bounds.
+
+    Adding j multiplies det by s / (lam w_j) with 1/(C^-1)_jj <= s <= C_jj;
+    dropping j divides by such a ratio.  The engine's caps are these upper
+    bounds, and the slack it adds to them covers the rounding, also on
+    designs whose Gram condition number reaches 1e8 or more.
+    """
+    gen = np.random.default_rng(seed)
+    p = int(gen.integers(2, 9))
+    n = p + int(gen.integers(1, 20))
+    X = gen.standard_normal((n, p))
+    if ill:
+        X[:, 1] = X[:, 0] + 1e-3 * gen.standard_normal(n)
+    spec = build_problem(X, gen.uniform(0.5, 2.0, p), float(gen.uniform(0.05, 1.0)))
+    inv_gram = np.linalg.inv(spec.gram)
+    for _ in range(8):
+        mask = gen.random(spec.p) < 0.5
+        j = int(gen.integers(spec.p))
+        toggled = mask.copy()
+        toggled[j] = not mask[j]
+        ratio = oracle_log_det(spec, toggled) - oracle_log_det(spec, mask)
+        adding = not mask[j]
+        upper = _cap(spec, inv_gram, j, adding)
+        lower = -_cap(spec, inv_gram, j, not adding)
+        assert lower - _CAP_SLACK <= ratio <= upper + _CAP_SLACK
+        # the engine's drop cap reads the library's own inverse
+        assert ratio <= _cap(spec, spec.gram_inv, j, adding) + _CAP_SLACK
+
+
+def _oracle_log_ratio(spec, beta, tau, state, move, inv_gram):
+    """Exact log MH ratio of an add/drop move at center ``beta`` under Gaussian(1) noise.
+
+    Returns the ratio; the cap the engine may reject against before any
+    log-determinant, which is the ratio with its determinant term replaced
+    by the Schur bound; and the magnitude of the terms summed, the scale of
+    the ratio's rounding.
+    """
+    theta, mask = state
+    j, value = move
+    new_theta, new_mask = theta.copy(), mask.copy()
+    new_theta[j] = value
+    new_mask[j] = not mask[j]
+
+    def qform(th, m):
+        u = spec.gram @ (np.where(m, th, 0.0) - beta) + spec.lam * spec.weights * np.where(
+            m, np.sign(th), th
+        )
+        return float(u @ np.linalg.solve(spec.gram, u))
+
+    q_new, q_old = qform(new_theta, new_mask), qform(theta, mask)
+    dlik = -0.5 * spec.n * (q_new - q_old)
+    if mask[j]:
+        proposal = norm.logpdf(theta[j], scale=tau[j]) - math.log(0.5)
+    else:
+        proposal = math.log(0.5) - norm.logpdf(value, scale=tau[j])
+    log_det_new, log_det_old = oracle_log_det(spec, new_mask), oracle_log_det(spec, mask)
+    rest = dlik + proposal
+    scale = 0.5 * spec.n * (q_new + q_old) + abs(log_det_new) + abs(log_det_old) + spec.p
+    return rest + log_det_new - log_det_old, rest + _cap(spec, inv_gram, j, not mask[j]), scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_add_drop_decisions_match_oracle_ratio(seed, orthogonal):
+    """The engine accepts exactly when log u <= the oracle's exact log ratio.
+
+    The nearest offsets from the ratio are 1e-12, or the ratio's rounding
+    scale where that is larger, so they sit far inside the cap's slack; on
+    an orthogonal design the determinant term equals its cap, so there the
+    cap cannot decide and the exact ratio must.  The designs are well
+    conditioned: on an ill-conditioned one the log-likelihood difference
+    itself is not resolved to that precision.
+    """
+    gen = np.random.default_rng(seed)
+    p = int(gen.integers(2, 9))
+    X = gen.standard_normal((4 * p + 10, p))
+    if orthogonal:
+        X = np.linalg.qr(X)[0] * gen.uniform(2.0, 4.0, p)
+    spec = build_problem(X, gen.uniform(0.5, 2.0, p), float(gen.uniform(0.05, 1.0)))
+    inv_gram = np.linalg.inv(spec.gram)
+    engine = _MhEngine(np.zeros(spec.p), Gaussian(1.0), np.ones(spec.p))
+    engine.set_design(spec)
+    for _ in range(6):
+        mask = gen.random(spec.p) < 0.5
+        theta = np.where(mask, 0.6 * gen.standard_normal(spec.p), gen.uniform(-1, 1, spec.p))
+        j = int(gen.integers(spec.p))
+        value = gen.uniform(-1, 1) if mask[j] else 0.8 * gen.standard_normal()
+        exact, capped, scale = _oracle_log_ratio(
+            spec, engine.beta, engine.tau, (theta, mask), (j, value), inv_gram
+        )
+        assert exact <= capped + _CAP_SLACK
+        near = max(1e-12, 64 * np.finfo(float).eps * scale)
+        gap = capped - exact
+        offsets = [-1e-6, -near, near, 1e-6, gap + 0.5 * _CAP_SLACK, gap + 2 * _CAP_SLACK]
+        if gap > 2 * near:
+            offsets.append(0.5 * gap)
+        for offset in offsets:
+            log_u = exact + offset
+            engine.set_state(theta, mask)
+            engine.accepts = dict.fromkeys(engine.accepts, 0)
+            if mask[j]:
+                engine.drop_coord(j, value, log_u)
+            else:
+                engine.add_coord(j, value, log_u)
+            accepted = engine.accepts["add_coord"] + engine.accepts["drop_coord"] == 1
+            assert accepted == (log_u <= exact), (offset, exact, capped)
+            assert bool(engine.active[j]) == (mask[j] != accepted)
+
+
+def test_cap_rejections_skip_log_determinants(monkeypatch):
+    """On the README problem a log-determinant is taken only when the cap cannot decide.
+
+    The test replays every add/drop proposal of a 2000-sweep chain against
+    its own cap (oracle quadratic forms, an explicit inverse) and counts
+    the proposals the cap leaves undecided; the engine must call
+    log_det_jacobian once per such proposal plus once at the start.
+    """
+    X, y, _ = synthetic_dataset(100, 20, rho=0.25, sigma2=1.0, signal=6, seed=11)
+    lam = 0.3 * float(lambda_max(build_problem(X, 1.0, 1.0), y))
+    spec = build_problem(X, 1.0, lam)
+    center = solve_lasso(spec, y).beta_hat
+    inv_gram = np.linalg.inv(spec.gram)
+    counts = {"log_det": 0, "undecided": 0}
+    real_log_det = lassodist.samplers.log_det_jacobian
+
+    def counted(A, spec_):
+        counts["log_det"] += 1
+        return real_log_det(A, spec_)
+
+    def replayed(move, adding):
+        def wrapper(self, j, value, log_u):
+            if not (adding and value == 0.0):
+                state = (self.theta.copy(), self.active.copy())
+                _, capped, _ = _oracle_log_ratio(
+                    spec, center, self.tau, state, (j, value), inv_gram
+                )
+                counts["undecided"] += log_u <= capped + _CAP_SLACK
+            return move(self, j, value, log_u)
+
+        return wrapper
+
+    monkeypatch.setattr(lassodist.samplers, "log_det_jacobian", counted)
+    monkeypatch.setattr(_MhEngine, "add_coord", replayed(_MhEngine.add_coord, True))
+    monkeypatch.setattr(_MhEngine, "drop_coord", replayed(_MhEngine.drop_coord, False))
+    config = default_sampler_config(
+        spec, 5, iters=2000, burn_in=100, beta_ref=center, sigma2_hat=1.0
+    )
+    chain = mh_sample(spec, center, Gaussian(1.0), config)
+    moves = chain.proposal_counts["add_coord"] + chain.proposal_counts["drop_coord"]
+    accepts = chain.accept_counts["add_coord"] + chain.accept_counts["drop_coord"]
+    assert counts["log_det"] == 1 + counts["undecided"]
+    assert accepts <= counts["undecided"]
+    assert counts["log_det"] < moves / 20
