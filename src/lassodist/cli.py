@@ -379,7 +379,7 @@ def _cmd_pvalue(args: argparse.Namespace) -> int:
     weights = _load_vector(args.weights) if args.weights else 1.0
     spec = build_problem(X, weights, args.lambda_star)
     beta0 = _null_beta(args, spec.p)
-    statistic = coefficient_statistic(args.stat, args.coord)
+    statistic = coefficient_statistic(args.stat, args.coord, p=spec.p)
 
     if args.replicates > 1 and args.workers > 1:
         seeds = seed_sequence(args.seed).spawn(args.replicates)
@@ -438,7 +438,7 @@ def _cmd_pvalue_multi(args: argparse.Namespace) -> int:
         raise ConfigError("--lambda-stars and --t-stars need matching lengths")
     spec = build_problem(X, weights, float(lambda_stars[0]))
     beta0 = _null_beta(args, spec.p)
-    statistic = coefficient_statistic(args.stat, args.coord)
+    statistic = coefficient_statistic(args.stat, args.coord, p=spec.p)
     results = multi_pvalue_study(
         spec,
         beta0,
@@ -492,7 +492,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             k: int(v) for k, v in meta.get("proposal_counts", {}).items()
         }
 
-    statistic = coefficient_statistic(args.g, args.coord)
+    statistic = coefficient_statistic(args.g, args.coord, p=chain.p)
     report = chain_diagnostics(chain, statistic, cost_ratio=args.cost_ratio)
     notes = acceptance_band_report(chain) if args.meta else []
     _write_json(

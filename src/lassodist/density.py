@@ -9,6 +9,7 @@ constraint on the subgradient).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "score_map",
     "scores",
     "score_qform",
+    "qform_log_density",
     "gaussian_moments",
     "log_density",
     "inactive_null_basis",
@@ -193,48 +195,51 @@ def radial_log_pdf(model: EmpiricalElliptical, radius: float) -> float:
     return math.log(count) - log_width - model.log_norm
 
 
-def _log_score_density(
-    model: ErrorModel, qform: float, dim: int, log_det: float, n: int
-) -> float:
-    """Log density of a ``dim``-dimensional score with scale matrix S/n.
+def qform_log_density(
+    model: ErrorModel, dim: int, log_det: float, n: int
+) -> Callable[[float], float]:
+    """Log density of a ``dim``-dimensional score with scale matrix S/n, as a function of q.
 
     All three error models are elliptical in the whitened score, so the
-    Mahalanobis form ``qform`` = u'S^{-1}u is a sufficient argument.
-    ``log_det`` is log det S; the whitening contributes ``-log_det / 2``.
+    Mahalanobis form q = u'S^{-1}u is a sufficient argument.  ``log_det`` is
+    log det S; the whitening contributes ``-log_det / 2``.  The model is
+    validated and every term that does not involve q is computed here, once;
+    the returned function only adds the q term.
     """
     if isinstance(model, Gaussian):
         if model.sigma2 <= 0:
             raise ConfigError("Gaussian variance must be positive")
-        return float(
-            -0.5 * dim * math.log(2.0 * math.pi * model.sigma2 / n)
-            - 0.5 * log_det
-            - 0.5 * n * qform / model.sigma2
-        )
+        sigma2 = model.sigma2
+        const = float(-0.5 * dim * math.log(2.0 * math.pi * sigma2 / n) - 0.5 * log_det)
+        half_n = 0.5 * n
+        return lambda q: const - half_n * q / sigma2
     if isinstance(model, StudentT):
         if model.dof <= 0 or model.scale <= 0:
             raise ConfigError("StudentT dof and scale must be positive")
         nu = float(model.dof)
-        log_det_scale = dim * math.log(model.scale / n) + log_det
-        quad = n * qform / model.scale
-        return float(
+        scale = model.scale
+        log_det_scale = dim * math.log(scale / n) + log_det
+        const = float(
             gammaln(0.5 * (nu + dim))
             - gammaln(0.5 * nu)
             - 0.5 * dim * math.log(nu * math.pi)
             - 0.5 * log_det_scale
-            - 0.5 * (nu + dim) * math.log1p(quad / nu)
         )
+        half_nu_dim = 0.5 * (nu + dim)
+        return lambda q: const - half_nu_dim * math.log1p(n * q / scale / nu)
     if isinstance(model, EmpiricalElliptical):
         if model.dim != dim:
             raise ConfigError(
                 f"elliptical model dimension {model.dim} does not match the score dimension {dim}"
             )
-        return radial_log_pdf(model, math.sqrt(max(qform, 0.0))) - 0.5 * log_det
+        half_log_det = 0.5 * log_det
+        return lambda q: radial_log_pdf(model, math.sqrt(max(q, 0.0))) - half_log_det
     raise ConfigError(f"unknown error model {type(model).__name__}")
 
 
 def log_error_density_from_qform(model: ErrorModel, qform: float, spec: ProblemSpec) -> float:
     """Log density of the score vector given its Mahalanobis form u'C^{-1}u."""
-    return _log_score_density(model, qform, spec.p, spec.log_det_gram, spec.n)
+    return qform_log_density(model, spec.p, spec.log_det_gram, spec.n)(qform)
 
 
 def scores(
@@ -423,9 +428,9 @@ def log_density_rowspace(
     if isinstance(model, StudentT):
         raise ConfigError("StudentT error model is not supported on the p > n path")
     qform = float(score_qform(score_map(state, beta, spec), spec, basis))
-    log_f = _log_score_density(
-        model, qform, spec.n, float(np.sum(np.log(basis.eigenvalues))), spec.n
-    )
+    log_f = qform_log_density(
+        model, spec.n, float(np.sum(np.log(basis.eigenvalues))), spec.n
+    )(qform)
     return log_f + log_det_rowspace_jacobian(
         state.active, spec, basis, null_span=null_span
     )

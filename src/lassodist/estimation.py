@@ -377,15 +377,15 @@ def summarize_chain(chain: Chain, log_weights: np.ndarray | None = None) -> Summ
         w = np.full(L, 1.0 / L)
 
     select_prob = active.astype(float).T @ w
-    q_lo = np.empty(p)
-    q_hi = np.empty(p)
+    if log_weights is None:
+        q_lo, q_hi = np.quantile(betas, [0.025, 0.975], axis=0)
+    else:
+        q_lo = np.empty(p)
+        q_hi = np.empty(p)
     cond_mean = np.full(p, np.nan)
     cond_sd = np.full(p, np.nan)
     for j in range(p):
-        if log_weights is None:
-            q_lo[j] = np.quantile(betas[:, j], 0.025)
-            q_hi[j] = np.quantile(betas[:, j], 0.975)
-        else:
+        if log_weights is not None:
             q_lo[j] = _weighted_quantile(betas[:, j], w, 0.025)
             q_hi[j] = _weighted_quantile(betas[:, j], w, 0.975)
         on = active[:, j]

@@ -138,11 +138,12 @@ def chain_log_weights(
     return np.reshape(log_weights, lambda_stars.shape + k.shape)
 
 
-def coefficient_statistic(name: str, coord: int | None = None):
+def coefficient_statistic(name: str, coord: int | None = None, p: int | None = None):
     """Named scalar statistics of the coefficient vector.
 
     ``l1`` and ``linf`` are the usual norms; ``abs-coord`` is the absolute
-    value of one coordinate (requires ``coord``).
+    value of one coordinate (requires ``coord``, which must lie in [0, p)
+    when the dimension ``p`` is given and be nonnegative in any case).
     """
     if name == "l1":
         return lambda beta: float(np.sum(np.abs(beta)))
@@ -152,6 +153,8 @@ def coefficient_statistic(name: str, coord: int | None = None):
         if coord is None:
             raise ConfigError("abs-coord statistic needs a coordinate index")
         j = int(coord)
+        if j < 0 or (p is not None and j >= p):
+            raise ConfigError(f"abs-coord coordinate {j} is outside [0, {p or 'p'})")
         return lambda beta: float(abs(beta[j]))
     raise ConfigError(f"unknown statistic {name!r}; choose l1, linf or abs-coord")
 

@@ -19,7 +19,7 @@ from scipy.special import ndtr
 from .density import (
     AugmentedState,
     ErrorModel,
-    log_error_density_from_qform,
+    qform_log_density,
     sample_errors,
     scores,
     state_from_arrays,
@@ -211,9 +211,21 @@ class _MhEngine:
     """Mutable chain state shared by the MH samplers.
 
     Tracks the score image ``H`` of the current state, its Gram-inverse
-    image ``G`` (so the Mahalanobis form is one dot product away), and the
-    log Jacobian ``log_jac`` of the current active set.  Proposals build
-    the candidate H/G in O(p) and mutate only on acceptance.
+    image ``G = C^{-1} H``, their product ``q = H'G`` (the Mahalanobis form
+    the log-likelihood ``loglik = f(q)`` depends on), and the log Jacobian
+    ``log_jac`` of the current active set.  ``rebuild`` builds f once per
+    design (``qform_log_density``) and caches diag C, diag C^{-1} and lam w.
+
+    Every move on coordinate j changes the coefficient by db and the
+    penalty term lam w_j s_j by d = lam w_j ds, so H' = H + db C_j + d e_j
+    and G' = G + db e_j + d (C^{-1})_j.  Since C_j'G = H_j and
+    (C^{-1})_j'H = G_j, the candidate form is q + dq with
+
+        dq = 2 (db H_j + d G_j) + db^2 C_jj + 2 db d + d^2 (C^{-1})_jj,
+
+    a scalar computed with no array.  Only an accepted move updates H and G
+    (in place) and then resets q = H'G and loglik = f(q), so rounding in dq
+    never accumulates.
 
     The determinant term of an add/drop move on j is bounded before it is
     computed.  Adding j to A multiplies the Jacobian determinant by
@@ -236,7 +248,7 @@ class _MhEngine:
     def __init__(self, beta: np.ndarray, model: ErrorModel, tau: np.ndarray) -> None:
         self.beta = np.asarray(beta, dtype=float)
         self.model = model
-        self.tau = np.asarray(tau, dtype=float)
+        self.tau = np.asarray(tau, dtype=float).tolist()
         self.accepts = dict.fromkeys(MOVE_KINDS, 0)
         self.attempts = dict.fromkeys(MOVE_KINDS, 0)
         self.spec: ProblemSpec | None = None
@@ -256,57 +268,63 @@ class _MhEngine:
 
     def rebuild(self) -> None:
         spec = self.spec
+        self.log_f = qform_log_density(self.model, spec.p, spec.log_det_gram, spec.n)
+        self.c_diag = np.diag(spec.gram).tolist()
+        self.cinv_diag = np.diag(spec.gram_inv).tolist()
+        self.lw = (spec.lam * spec.weights).tolist()
         self.H = scores(self.theta, self.active, self.beta, spec)
         self.G = spec.gram_inv @ self.H
-        self.loglik = log_error_density_from_qform(self.model, float(self.H @ self.G), spec)
+        self._settle()
         self.log_jac = log_det_jacobian(np.flatnonzero(self.active), spec)
+
+    def _settle(self) -> None:
+        self.q = float(self.H @ self.G)
+        self.loglik = self.log_f(self.q)
 
     def log_posterior(self) -> float:
         """Log target up to a constant (used by design-refresh acceptance)."""
         return self.loglik + self.log_jac
 
-    def _candidate_loglik(self, H_new: np.ndarray, G_new: np.ndarray) -> float:
-        return log_error_density_from_qform(
-            self.model, float(H_new @ G_new), self.spec
+    def _loglik_after(self, j: int, db: float, d: float) -> float:
+        """f(q + dq) for a move changing b_j by db and lam w_j s_j by d."""
+        dq = (
+            2.0 * (db * self.H.item(j) + d * self.G.item(j))
+            + db * db * self.c_diag[j]
+            + 2.0 * db * d
+            + d * d * self.cinv_diag[j]
         )
+        return self.log_f(self.q + dq)
 
-    def _accept(self, H_new, G_new, loglik_new, kind) -> None:
-        self.H = H_new
-        self.G = G_new
-        self.loglik = loglik_new
+    def _accept(self, kind: str) -> None:
+        self._settle()
         self.accepts[kind] += 1
 
     def coef_update(self, j: int, b_new: float, log_u: float) -> None:
         self.attempts[COEF_UPDATE] += 1
         if b_new == 0.0:
             return
-        spec = self.spec
-        b_old = self.theta[j]
-        ds = np.sign(b_new) - np.sign(b_old)
-        H_new = self.H + spec.gram[:, j] * (b_new - b_old)
-        G_new = self.G.copy()
-        G_new[j] += b_new - b_old
-        if ds != 0.0:
-            lw = spec.lam * spec.weights[j]
-            H_new[j] += lw * ds
-            G_new = G_new + lw * ds * spec.gram_inv[:, j]
-        loglik_new = self._candidate_loglik(H_new, G_new)
-        if log_u <= loglik_new - self.loglik:
+        b_old = self.theta.item(j)
+        db = b_new - b_old
+        ds = math.copysign(1.0, b_new) - math.copysign(1.0, b_old)
+        d = self.lw[j] * ds
+        if log_u <= self._loglik_after(j, db, d) - self.loglik:
+            spec = self.spec
             self.theta[j] = b_new
-            self._accept(H_new, G_new, loglik_new, COEF_UPDATE)
+            self.H += spec.gram[:, j] * db
+            self.G[j] += db
+            if ds != 0.0:
+                self.H[j] += d
+                self.G += d * spec.gram_inv[:, j]
+            self._accept(COEF_UPDATE)
 
     def subgrad_update(self, j: int, s_new: float, log_u: float) -> None:
         self.attempts[SUBGRAD_UPDATE] += 1
-        spec = self.spec
-        lw = spec.lam * spec.weights[j]
-        ds = s_new - self.theta[j]
-        H_new = self.H.copy()
-        H_new[j] += lw * ds
-        G_new = self.G + lw * ds * spec.gram_inv[:, j]
-        loglik_new = self._candidate_loglik(H_new, G_new)
-        if log_u <= loglik_new - self.loglik:
+        d = self.lw[j] * (s_new - self.theta.item(j))
+        if log_u <= self._loglik_after(j, 0.0, d) - self.loglik:
             self.theta[j] = s_new
-            self._accept(H_new, G_new, loglik_new, SUBGRAD_UPDATE)
+            self.H[j] += d
+            self.G += d * self.spec.gram_inv[:, j]
+            self._accept(SUBGRAD_UPDATE)
 
     def _toggled_log_jac(
         self, j: int, dlik: float, plus: float, minus: float, cap: float, log_u: float
@@ -332,55 +350,52 @@ class _MhEngine:
 
     def drop_coord(self, j: int, s_new: float, log_u: float) -> None:
         self.attempts[DROP_COORD] += 1
-        spec = self.spec
-        b_old = self.theta[j]
-        lw = spec.lam * spec.weights[j]
-        ds = s_new - np.sign(b_old)
-        H_new = self.H - spec.gram[:, j] * b_old
-        H_new[j] += lw * ds
-        G_new = self.G + lw * ds * spec.gram_inv[:, j]
-        G_new[j] -= b_old
-        loglik_new = self._candidate_loglik(H_new, G_new)
+        b_old = self.theta.item(j)
+        lw = self.lw[j]
+        d = lw * (s_new - math.copysign(1.0, b_old))
         log_jac_new = self._toggled_log_jac(
             j,
-            loglik_new - self.loglik,
+            self._loglik_after(j, -b_old, d) - self.loglik,
             _normal_logpdf(b_old, self.tau[j]),
             math.log(0.5),
-            math.log(spec.gram_inv[j, j] * lw),
+            math.log(self.cinv_diag[j] * lw),
             log_u,
         )
         if log_jac_new is not None:
+            spec = self.spec
             self.theta[j] = s_new
             self.active[j] = False
             self.log_jac = log_jac_new
-            self._accept(H_new, G_new, loglik_new, DROP_COORD)
+            self.H -= spec.gram[:, j] * b_old
+            self.H[j] += d
+            self.G += d * spec.gram_inv[:, j]
+            self.G[j] -= b_old
+            self._accept(DROP_COORD)
 
     def add_coord(self, j: int, b_new: float, log_u: float) -> None:
         self.attempts[ADD_COORD] += 1
         if b_new == 0.0:
             return
-        spec = self.spec
-        s_old = self.theta[j]
-        lw = spec.lam * spec.weights[j]
-        ds = np.sign(b_new) - s_old
-        H_new = self.H + spec.gram[:, j] * b_new
-        H_new[j] += lw * ds
-        G_new = self.G + lw * ds * spec.gram_inv[:, j]
-        G_new[j] += b_new
-        loglik_new = self._candidate_loglik(H_new, G_new)
+        lw = self.lw[j]
+        d = lw * (math.copysign(1.0, b_new) - self.theta.item(j))
         log_jac_new = self._toggled_log_jac(
             j,
-            loglik_new - self.loglik,
+            self._loglik_after(j, b_new, d) - self.loglik,
             math.log(0.5),
             _normal_logpdf(b_new, self.tau[j]),
-            math.log(spec.gram[j, j] / lw),
+            math.log(self.c_diag[j] / lw),
             log_u,
         )
         if log_jac_new is not None:
+            spec = self.spec
             self.theta[j] = b_new
             self.active[j] = True
             self.log_jac = log_jac_new
-            self._accept(H_new, G_new, loglik_new, ADD_COORD)
+            self.H += spec.gram[:, j] * b_new
+            self.H[j] += d
+            self.G += d * spec.gram_inv[:, j]
+            self.G[j] += b_new
+            self._accept(ADD_COORD)
 
     def mixed_iteration(
         self,
@@ -391,6 +406,10 @@ class _MhEngine:
     ) -> None:
         """One sweep: add/drop on the selected coordinates, then the rest."""
         p = self.theta.shape[0]
+        # Moves take Python floats: scalar arithmetic on numpy scalars costs
+        # several times more, and the values are the same doubles.
+        normals, unifs, log_u = normals.tolist(), unifs.tolist(), log_u.tolist()
+        model_mask = model_mask.tolist()
         for j in range(p):
             if not model_mask[j]:
                 continue
@@ -402,7 +421,7 @@ class _MhEngine:
             if model_mask[j]:
                 continue
             if self.active[j]:
-                self.coef_update(j, self.theta[j] + self.tau[j] * normals[j], log_u[j])
+                self.coef_update(j, self.theta.item(j) + self.tau[j] * normals[j], log_u[j])
             else:
                 self.subgrad_update(j, unifs[j], log_u[j])
 
@@ -411,9 +430,10 @@ class _MhEngine:
     ) -> None:
         """One sweep with the active set frozen (no add/drop moves)."""
         p = self.theta.shape[0]
+        normals, unifs, log_u = normals.tolist(), unifs.tolist(), log_u.tolist()
         for j in range(p):
             if self.active[j]:
-                self.coef_update(j, self.theta[j] + self.tau[j] * normals[j], log_u[j])
+                self.coef_update(j, self.theta.item(j) + self.tau[j] * normals[j], log_u[j])
             else:
                 self.subgrad_update(j, unifs[j], log_u[j])
 

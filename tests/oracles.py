@@ -118,6 +118,25 @@ def assemble_jacobian(
     return np.column_stack(cols) if cols else np.zeros((p, 0))
 
 
+def state_score(
+    gram: np.ndarray,
+    weights: np.ndarray,
+    lam: float,
+    beta: np.ndarray,
+    theta: np.ndarray,
+    active: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Score u = C(b_hat - beta) + lam W s of a state and its form u'C^{-1}u.
+
+    ``theta`` holds the coefficient where ``active`` is True and the
+    subgradient value elsewhere; the form comes from a dense solve.
+    """
+    b_hat = np.where(active, theta, 0.0)
+    subgrad = np.where(active, np.sign(theta), theta)
+    u = gram @ (b_hat - beta) + lam * weights * subgrad
+    return u, float(u @ np.linalg.solve(gram, u))
+
+
 def assemble_rowspace_jacobian(
     X: np.ndarray,
     weights: np.ndarray,

@@ -282,6 +282,34 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     ) == 1
 
 
+@pytest.mark.parametrize("coord", [9, -1])
+def test_abs_coord_outside_the_design_exits_one(tmp_path, capsys, coord):
+    data = gen_dataset(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample-joint",
+        "--x", data / "X.csv",
+        "--y", data / "y.csv",
+        "--lambda", 0.3,
+        "--sigma2", 1.0,
+        "--iters", 50,
+        "--burnin", 10,
+        "--seed", 7,
+        "--out-dir", run_dir,
+    ) == 0
+    capsys.readouterr()
+    commands = [
+        ("diagnose", "--chain", run_dir / "chain.csv", "--g", "abs-coord"),
+        ("pvalue", "--x", data / "X.csv", "--sigma2", 1.0, "--lambda-star", 0.5,
+         "--t-star", 0.4, "--L", 50, "--stat", "abs-coord", "--seed", 1),
+        ("pvalue-multi", "--x", data / "X.csv", "--sigma2", 1.0, "--lambda-stars", "0.5",
+         "--t-stars", "0.4", "--L", 50, "--stat", "abs-coord", "--seed", 1),
+    ]
+    for i, command in enumerate(commands):
+        assert run(*command, "--coord", coord, "--out-dir", tmp_path / f"o{i}") == 1
+        assert f"coordinate {coord} is outside [0, 5)" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code = run(
         "sample-joint",

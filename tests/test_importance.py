@@ -269,6 +269,10 @@ def test_statistic_registry(identity_spec):
         coefficient_statistic("abs-coord")
     with pytest.raises(ConfigError):
         coefficient_statistic("l0")
+    assert coefficient_statistic("abs-coord", 1, p=2)(beta) == pytest.approx(2.0)
+    for coord, p in ((2, 2), (-1, 2), (-1, None)):
+        with pytest.raises(ConfigError, match="outside"):
+            coefficient_statistic("abs-coord", coord, p=p)
 
 
 def test_pvalue_study_high_dim_auto_basis():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import multivariate_normal, multivariate_t, norm
 
 import lassodist.samplers
 from lassodist import (
@@ -28,13 +28,21 @@ from lassodist import (
     write_chain_csv,
     write_chain_meta,
 )
-from lassodist.density import sample_errors, state_from_arrays, validate_state
+from lassodist.density import (
+    EmpiricalElliptical,
+    qform_log_density,
+    radial_log_norm,
+    radial_log_pdf,
+    sample_errors,
+    state_from_arrays,
+    validate_state,
+)
 from lassodist.rng import generator, seed_sequence
 from lassodist.problem import synthetic_dataset
 from lassodist.samplers import _CAP_SLACK, SamplerConfig, _MhEngine
 from lassodist.solver import lambda_max
 
-from oracles import assemble_jacobian, cell_probability
+from oracles import assemble_jacobian, cell_probability, state_score
 
 
 def identity_problem(lam=0.5, n=2):
@@ -433,10 +441,7 @@ def _oracle_log_ratio(spec, beta, tau, state, move, inv_gram):
     new_mask[j] = not mask[j]
 
     def qform(th, m):
-        u = spec.gram @ (np.where(m, th, 0.0) - beta) + spec.lam * spec.weights * np.where(
-            m, np.sign(th), th
-        )
-        return float(u @ np.linalg.solve(spec.gram, u))
+        return state_score(spec.gram, spec.weights, spec.lam, beta, th, m)[1]
 
     q_new, q_old = qform(new_theta, new_mask), qform(theta, mask)
     dlik = -0.5 * spec.n * (q_new - q_old)
@@ -542,3 +547,121 @@ def test_cap_rejections_skip_log_determinants(monkeypatch):
     assert counts["log_det"] == 1 + counts["undecided"]
     assert accepts <= counts["undecided"]
     assert counts["log_det"] < moves / 20
+
+
+def _error_model(family: str, p: int):
+    if family == "gaussian":
+        return Gaussian(0.8)
+    if family == "studentt":
+        return StudentT(7.0, 1.3)
+    edges = np.linspace(0.0, 2.0, 5)
+    counts = np.array([1.0, 4.0, 6.0, 2.0])
+    log_norm = radial_log_norm(edges, counts, p, -3.0, 1.0)
+    return EmpiricalElliptical(edges, counts, -3.0, 1.0, p, log_norm)
+
+
+def _reference_loglik(model, u: np.ndarray, q: float, spec) -> float:
+    """Log density of the score u, from scipy or the radial profile at sqrt(q)."""
+    scale_matrix = spec.gram / spec.n
+    if isinstance(model, Gaussian):
+        return float(multivariate_normal(cov=model.sigma2 * scale_matrix).logpdf(u))
+    if isinstance(model, StudentT):
+        return float(multivariate_t(shape=model.scale * scale_matrix, df=model.dof).logpdf(u))
+    return radial_log_pdf(model, math.sqrt(q)) - 0.5 * np.linalg.slogdet(spec.gram)[1]
+
+
+def _random_move(gen, theta, mask, j):
+    """A proposal on coordinate j: (move name, proposed value)."""
+    if mask[j]:
+        kind = ("coef_update", "coef_flip", "drop_coord")[int(gen.integers(3))]
+        if kind == "drop_coord":
+            return kind, float(gen.uniform(-1.0, 1.0))
+        sign = -1.0 if kind == "coef_flip" else 1.0
+        return "coef_update", sign * theta[j] * float(gen.uniform(0.2, 2.0))
+    if gen.random() < 0.5:
+        return "subgrad_update", float(gen.uniform(-1.0, 1.0))
+    return "add_coord", float(gen.standard_normal())
+
+
+def _moved(theta, mask, j, kind, value):
+    theta, mask = theta.copy(), mask.copy()
+    theta[j] = value
+    if kind in ("drop_coord", "add_coord"):
+        mask[j] = not mask[j]
+    return theta, mask
+
+
+class _RecordingKernel:
+    """Wraps an engine's q -> log-likelihood kernel and records each call."""
+
+    def __init__(self, kernel) -> None:
+        self.kernel = kernel
+        self.calls: list[tuple[float, float]] = []
+
+    def __call__(self, q: float) -> float:
+        value = self.kernel(q)
+        self.calls.append((q, value))
+        return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["gaussian", "studentt", "elliptical"]))
+def test_candidate_loglik_matches_oracle_qform(seed, family):
+    """Every move's candidate log-likelihood is the density at the moved state's score.
+
+    The engine forms the candidate from its tracked q and a scalar dq; the
+    reference recomputes u = C(b_hat - beta) + lam W s of the moved state and
+    u'C^{-1}u by a dense solve.  With log u = +inf every proposal is
+    rejected after its candidate is formed, so the state must not change.
+    """
+    gen = np.random.default_rng(seed)
+    p = int(gen.integers(1, 9))
+    n = p + int(gen.integers(2, 30))
+    spec = build_problem(
+        gen.standard_normal((n, p)), gen.uniform(0.5, 2.0, p), float(gen.uniform(0.05, 1.0))
+    )
+    model = _error_model(family, p)
+    beta = np.where(gen.random(p) < 0.6, gen.standard_normal(p), 0.0)
+    engine = _MhEngine(beta, model, gen.uniform(0.2, 1.0, p))
+    engine.set_design(spec)
+    for _ in range(10):
+        mask = gen.random(p) < 0.5
+        theta = np.where(mask, gen.standard_normal(p), gen.uniform(-1.0, 1.0, p))
+        engine.set_state(theta, mask)
+        recorder = engine.log_f = _RecordingKernel(engine.log_f)
+        j = int(gen.integers(p))
+        kind, value = _random_move(gen, theta, mask, j)
+        getattr(engine, kind)(j, value, math.inf)
+        moved = _moved(theta, mask, j, kind, value)
+        u, q = state_score(spec.gram, spec.weights, spec.lam, beta, *moved)
+        [(q_candidate, loglik)] = recorder.calls
+        assert q_candidate == pytest.approx(q, rel=1e-9, abs=1e-12)
+        assert loglik == pytest.approx(_reference_loglik(model, u, q, spec), rel=1e-9, abs=1e-9)
+        assert sum(engine.accepts.values()) == 0
+        np.testing.assert_array_equal(engine.theta, theta)
+        np.testing.assert_array_equal(engine.active, mask)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "studentt", "elliptical"])
+def test_forced_accept_walk_keeps_q_on_the_oracle(family):
+    """After 2000 accepted moves of all four kinds, q is the final state's oracle form."""
+    gen = np.random.default_rng(61)
+    p, n = 9, 40
+    spec = build_problem(gen.standard_normal((n, p)), gen.uniform(0.5, 2.0, p), 0.3)
+    model = _error_model(family, p)
+    beta = np.where(gen.random(p) < 0.5, gen.standard_normal(p), 0.0)
+    engine = _MhEngine(beta, model, np.ones(p))
+    engine.set_design(spec)
+    mask = gen.random(p) < 0.5
+    engine.set_state(np.where(mask, 0.7, 0.1), mask)
+    kinds = set()
+    for _ in range(2000):
+        j = int(gen.integers(p))
+        kind, value = _random_move(gen, engine.theta, engine.active, j)
+        getattr(engine, kind)(j, value, -math.inf)
+        kinds.add(kind)
+    assert kinds == {"coef_update", "subgrad_update", "drop_coord", "add_coord"}
+    assert sum(engine.accepts.values()) == 2000
+    _, q = state_score(spec.gram, spec.weights, spec.lam, beta, engine.theta, engine.active)
+    assert engine.q == pytest.approx(q, rel=1e-10)
+    assert engine.loglik == qform_log_density(model, p, spec.log_det_gram, spec.n)(engine.q)
