@@ -493,6 +493,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         }
 
     statistic = coefficient_statistic(args.g, args.coord, p=chain.p)
+    # Computed before any output is written, so a bad --hist-coord or
+    # --hist-bins leaves the output directory without partial results.
+    histogram = (
+        None if args.hist_coord is None
+        else coefficient_histogram(chain, args.hist_coord, args.hist_bins)
+    )
     report = chain_diagnostics(chain, statistic, cost_ratio=args.cost_ratio)
     notes = acceptance_band_report(chain) if args.meta else []
     _write_json(
@@ -522,9 +528,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         },
     )
     outputs = ["diagnostics.json", "summary.json"]
-    if args.hist_coord is not None:
-        centers, masses = coefficient_histogram(chain, args.hist_coord, args.hist_bins)
-        _save_array(out / "histogram.csv", np.column_stack([centers, masses]))
+    if histogram is not None:
+        _save_array(out / "histogram.csv", np.column_stack(histogram))
         outputs.append("histogram.csv")
     _write_manifest(out, args, outputs)
     print(

@@ -1,10 +1,13 @@
-"""Weighted lasso solver with coordinate descent and KKT-residual stopping.
+"""Weighted lasso solver: coordinate descent, exact support solves, KKT stopping.
 
 The solver works on the Gram scale: it needs only ``C = X'X/n`` and the
 correlation vectors ``X'y/n``, which lets the same core serve the data-space
 problem, the posterior decision draw, and recentred objectives.  One
 response and a block of responses (one row per draw) go through the same
-coordinate descent, vectorised over the rows.
+coordinate descent, vectorised over the rows.  Coordinate descent finds
+each row's support and signs; after every pass one batched linear solve
+gives each row the exact minimizer on them, and the KKT check alone
+decides whether a row takes it and retires.
 """
 from __future__ import annotations
 
@@ -61,8 +64,20 @@ def solve_lasso_gram(
     the coordinates in ascending order, which resolves boundary ties
     deterministically, and updates every unconverged row at once.  A
     coordinate that is zero and satisfies its KKT condition in every
-    unconverged row sits out the pass.  After each pass the KKT residual of
-    every row is recomputed in full and rows within tolerance retire.
+    unconverged row sits out the pass.
+
+    Coordinate descent only has to find the support A and signs s: after
+    each pass but the last, one batched solve of
+    ``C_AA b_A = xty_A - lam W_A s_A`` gives every unconverged row the
+    exact minimizer on its current A and s (Osborne, Presnell and Turlach,
+    2000).  A row takes it when its signs on A equal the iterate's and its
+    KKT defect is within tolerance on every coordinate; otherwise it keeps
+    its coordinate-descent iterate and carries on.  A singular support
+    block (duplicate columns, or |A| > n when p > n) makes the batched
+    solve fail; that pass then solves the rows one at a time, and a row
+    whose own block is singular keeps its iterate.  Either way the KKT
+    residual of every row is recomputed in full after each pass, and rows
+    within tolerance retire: the KKT check is the only stopping rule.
 
     The tolerance on coordinate j is ``min(kkt_tol, S_TOL * lam * w_j / 2)``:
     at small penalties the KKT residual alone would leave the subgradient
@@ -92,6 +107,11 @@ def solve_lasso_gram(
     inv_diag = np.divide(1.0, diag, out=np.zeros(p), where=diag > 0).tolist()
     lw = lam_w[:, 0].tolist()
 
+    def kkt_defect(B, grad):
+        # Per-coordinate KKT defect of every column of B.
+        dev = np.abs(grad - lam_w * np.sign(B))
+        return np.where(B != 0, dev, np.maximum(dev - lam_w, 0.0))
+
     # Working arrays hold one column per unconverged row.
     target = xty.reshape(-1, p).T.copy()
     out = np.zeros((target.shape[1], p))
@@ -101,9 +121,7 @@ def solve_lasso_gram(
     grad = target
     passes = 0
     while True:
-        # Per-coordinate KKT defect of every unconverged row.
-        dev = np.abs(grad - lam_w * np.sign(B))
-        defect = np.where(B != 0, dev, np.maximum(dev - lam_w, 0.0))
+        defect = kkt_defect(B, grad)
         done = (defect <= tol).all(axis=0)
         if done.any():
             out[rows[done]] = B[:, done].T
@@ -126,6 +144,19 @@ def solve_lasso_gram(
             B[j] = new
         passes += 1
         grad = target - gram @ B
+        if passes == max_iter:
+            # No support solve after the last pass: a capped solve reports
+            # the rows coordinate descent left unresolved.
+            continue
+        # A row whose exact minimizer on its current support and signs keeps
+        # those signs and passes the KKT check takes it as its iterate, and
+        # the check at the top of the loop retires it.
+        cand = _support_solve(gram, target, lam_w, B)
+        cand_grad = target - gram @ cand
+        take = (np.sign(cand) == np.sign(B)).all(axis=0)
+        take &= (kkt_defect(cand, cand_grad) <= tol).all(axis=0)
+        B[:, take] = cand[:, take]
+        grad[:, take] = cand_grad[:, take]
 
     out[rows] = B.T
     stuck = defect.max(axis=0)
@@ -139,6 +170,41 @@ def solve_lasso_gram(
         draws=rows,
         residuals=stuck,
     )
+
+
+def _support_solve(
+    gram: np.ndarray, target: np.ndarray, lam_w: np.ndarray, B: np.ndarray
+) -> np.ndarray:
+    """Exact minimizer of every column of ``B`` on its support A and signs s.
+
+    Solves ``C_AA b_A = c_A - lam W_A s_A`` for all columns in one batched
+    call: each support is gathered into a (L, k, k) block padded with the
+    identity up to the largest |A|.  A column whose block is singular gets
+    NaN, which no sign check accepts.
+    """
+    active = B != 0
+    k = int(active.sum(axis=0).max(initial=0))
+    cand = np.zeros_like(B)
+    if k == 0:
+        return cand
+    # Active coordinates first, in ascending order, then padding.
+    idx = np.argsort(~active, axis=0, kind="stable")[:k].T
+    valid = np.take_along_axis(active.T, idx, axis=1)
+    pad = ~(valid[:, :, None] & valid[:, None, :])
+    block = np.where(pad, np.eye(k), gram[idx[:, :, None], idx[:, None, :]])
+    cols = np.arange(B.shape[1])[:, None]
+    rhs = np.where(valid, (target - lam_w * np.sign(B)).T[cols, idx], 0.0)
+    try:
+        sol = np.linalg.solve(block, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        sol = np.full_like(rhs, np.nan)
+        for i in range(len(block)):
+            try:
+                sol[i] = np.linalg.solve(block[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    cand.T[cols, idx] = np.where(valid, sol, 0.0)
+    return cand
 
 
 def _snap_subgradient(beta: np.ndarray, raw: np.ndarray) -> np.ndarray:

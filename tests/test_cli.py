@@ -235,6 +235,26 @@ def test_diagnose_reports_and_histogram(tmp_path):
     assert hist[:, 1].sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("hist", [("--hist-coord", 9), ("--hist-coord", 0, "--hist-bins", 0)])
+def test_bad_histogram_exits_one_before_writing(tmp_path, hist):
+    data = gen_dataset(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample-joint",
+        "--x", data / "X.csv",
+        "--y", data / "y.csv",
+        "--lambda", 0.3,
+        "--sigma2", 1.0,
+        "--iters", 60,
+        "--burnin", 10,
+        "--seed", 7,
+        "--out-dir", run_dir,
+    ) == 0
+    out = tmp_path / "diag"
+    assert run("diagnose", "--chain", run_dir / "chain.csv", *hist, "--out-dir", out) == 1
+    assert not list(out.glob("*.json"))
+
+
 def test_posterior_check_runs(tmp_path):
     data = gen_dataset(tmp_path, n=30, p=3)
     out = tmp_path / "pc"

@@ -289,14 +289,64 @@ def test_small_penalty_direct_sample_snaps_subgradient():
     assert np.all(np.abs(inactive) <= 1.0)
 
 
-def test_unresolvable_penalty_is_numerical_error():
-    # Criterion-04 design at a penalty below what double precision resolves:
-    # the solver's own solution cannot be snapped, which is not a data error.
+def _c04_spec(lam):
+    """Criterion-04 design (n=50, p=10) at penalty ``lam``, with its beta0."""
     gen = np.random.default_rng(404)
     shared = gen.standard_normal((50, 1))
     X = np.sqrt(0.75) * gen.standard_normal((50, 10)) + np.sqrt(0.25) * shared
     beta0 = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 0.18, 0.18])
-    spec = build_problem(X, 1.0, 1e-9)
+    return build_problem(X, 1.0, lam), beta0
+
+
+def test_unresolvable_penalty_is_numerical_error():
+    # Criterion-04 design at a penalty below what double precision resolves:
+    # the solver's own solution cannot be snapped, which is not a data error.
+    # Support solves resolve this design down to lam = 1e-9 and fail from
+    # 7.9e-10 down; 1e-11 keeps a margin below that limit.
+    spec, beta0 = _c04_spec(1e-11)
     with pytest.raises(NumericalError) as info:
         direct_sample(spec, beta0, Gaussian(1.0), 200, 1404)
-    assert "1e-09" in str(info.value)
+    assert "1e-11" in str(info.value)
+
+
+def test_small_penalty_now_resolves():
+    # At lam = 1e-9 the KKT tolerance sits at the rounding floor, which
+    # coordinate descent alone cannot reach; the exact support solve does.
+    spec, beta0 = _c04_spec(1e-9)
+    chain = direct_sample(spec, beta0, Gaussian(1.0), 200, 1404)
+    assert chain.max_kkt_residual <= KKT_TOL
+    gen = np.random.default_rng(1404)
+    Y = spec.X @ beta0 + gen.standard_normal((3, spec.n))
+    fit = solve_lasso(spec, Y)
+    for i, y in enumerate(Y):
+        beta_ref, s_ref = enumerate_lasso(spec.gram, spec.X.T @ y / spec.n, spec.weights, spec.lam)
+        np.testing.assert_array_equal(fit.active[i], beta_ref != 0)
+        coef, subgrad = _stopping_bounds(spec, beta_ref != 0)
+        np.testing.assert_allclose(fit.beta_hat[i], beta_ref, rtol=0, atol=coef)
+        np.testing.assert_allclose(fit.subgrad[i], s_ref, rtol=0, atol=subgrad)
+
+
+def test_singular_support_block_falls_back_to_coordinate_descent():
+    # Coordinates 0 and 1 are duplicate columns with weights 2 and 1: the
+    # first passes put both in row 0's support, whose block is singular.
+    # Coordinates 2 and 3 are correlated at 0.9, so row 1 needs many
+    # coordinate-descent passes but only one support solve.  Row 2 has a
+    # smaller support, so its block is padded.
+    gram = np.array([
+        [1.0, 1.0, 0.0, 0.0],
+        [1.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.9],
+        [0.0, 0.0, 0.9, 1.0],
+    ])
+    weights = np.array([2.0, 1.0, 1.0, 1.0])
+    xty = np.array([[2.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, -1.0], [0.0, 0.0, 0.8, 0.0]])
+    refs = [enumerate_lasso(gram, c, weights, 0.5)[0] for c in xty]
+
+    with pytest.raises(ConvergenceError) as info:
+        solve_lasso_gram(gram, xty, weights, 0.5, max_iter=2)
+    np.testing.assert_array_equal(info.value.draws, [0])
+    np.testing.assert_allclose(info.value.beta[1:], refs[1:], rtol=0, atol=1e-12)
+
+    beta, worst = solve_lasso_gram(gram, xty, weights, 0.5)
+    assert worst <= KKT_TOL
+    np.testing.assert_allclose(beta, refs, rtol=0, atol=1e-12)
