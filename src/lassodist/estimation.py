@@ -17,6 +17,7 @@ from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .density import EmpiricalElliptical, Gaussian, StudentT, _assemble_jacobian, radial_log_norm
 from .errors import ConfigError, ConvergenceError, DataError, NumericalError
+from .importance import _statistic_values
 from .problem import ProblemSpec
 from .rng import Seed, generator
 from .samplers import Chain, active_bitmask
@@ -431,19 +432,19 @@ def chain_diagnostics(
 ) -> EfficiencyReport:
     """Variance-inflation estimate for a scalar chain statistic.
 
-    ``g`` maps a coefficient vector to a scalar, the same contract as the
-    named statistics registry; pass a precomputed series (as ``chain`` or
-    as ``g``) for anything else.  The autocorrelation is truncated at the
-    first lag indistinguishable from zero (|rho| < 2/sqrt(N)); the
-    inflation factor, effective sample size and relative efficiency are
-    derived from the truncated sum.
+    ``g`` maps the (L, p) coefficient block to shape (L,) in one call, the
+    contract of the named statistics registry; pass a precomputed series
+    (as ``chain`` or as ``g``) for anything else.  The autocorrelation is
+    truncated at the first lag indistinguishable from zero
+    (|rho| < 2/sqrt(N)); the inflation factor, effective sample size and
+    relative efficiency are derived from the truncated sum.
     """
     if isinstance(chain, np.ndarray):
         series = np.asarray(chain, dtype=float)
     elif g is None:
         raise ConfigError("provide a statistic g when passing a Chain")
     elif callable(g):
-        series = np.array([g(b) for b in chain.beta_matrix()])
+        series = _statistic_values(chain, g)
     else:
         series = np.asarray(g, dtype=float)
     N = series.shape[0]
@@ -451,11 +452,8 @@ def chain_diagnostics(
         raise DataError("need at least 10 states for diagnostics")
     rho = _autocorrelation(series)
     cut = 2.0 / math.sqrt(N)
-    trunc = N - 1
-    for t in range(1, N):
-        if abs(rho[t]) < cut:
-            trunc = t
-            break
+    below = np.flatnonzero(np.abs(rho[1:]) < cut)
+    trunc = int(below[0]) + 1 if below.size else N - 1
     lags = np.arange(1, trunc)
     psi = float(1.0 + 2.0 * np.sum((1.0 - lags / N) * rho[1:trunc]))
     ess = min(float(N), N / psi) if psi > 0 else float(N)

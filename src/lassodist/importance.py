@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .density import Gaussian, score_qform, scores
 from .errors import ConfigError, DataError, NumericalError
@@ -139,29 +138,34 @@ def chain_log_weights(
 
 
 def coefficient_statistic(name: str, coord: int | None = None, p: int | None = None):
-    """Named scalar statistics of the coefficient vector.
+    """Named statistics of the coefficient vector, on one state or a block.
 
-    ``l1`` and ``linf`` are the usual norms; ``abs-coord`` is the absolute
-    value of one coordinate (requires ``coord``, which must lie in [0, p)
-    when the dimension ``p`` is given and be nonnegative in any case).
+    Each returned function maps a (p,) vector to a scalar and an (L, p)
+    block to shape (L,), reducing over the last axis.  ``l1`` and ``linf``
+    are the usual norms; ``abs-coord`` is the absolute value of one
+    coordinate (requires ``coord``, which must lie in [0, p) when the
+    dimension ``p`` is given and be nonnegative in any case).
     """
     if name == "l1":
-        return lambda beta: float(np.sum(np.abs(beta)))
+        return lambda b: np.sum(np.abs(b), axis=-1)
     if name == "linf":
-        return lambda beta: float(np.max(np.abs(beta), initial=0.0))
+        return lambda b: np.max(np.abs(b), axis=-1, initial=0.0)
     if name == "abs-coord":
         if coord is None:
             raise ConfigError("abs-coord statistic needs a coordinate index")
         j = int(coord)
         if j < 0 or (p is not None and j >= p):
             raise ConfigError(f"abs-coord coordinate {j} is outside [0, {p or 'p'})")
-        return lambda beta: float(abs(beta[j]))
+        return lambda b: np.abs(b[..., j])
     raise ConfigError(f"unknown statistic {name!r}; choose l1, linf or abs-coord")
 
 
 def _statistic_values(chain: Chain, statistic) -> np.ndarray:
-    betas = chain.beta_matrix()
-    return np.array([statistic(betas[i]) for i in range(len(chain))])
+    """One call of ``statistic`` on the (L, p) coefficient block of ``chain``."""
+    values = np.asarray(statistic(chain.beta_matrix()), dtype=float)
+    if values.shape != (len(chain),):
+        raise ConfigError(f"statistic must map an (L, p) block to shape (L,); got {values.shape}")
+    return values
 
 
 def estimate_pvalue(
@@ -173,41 +177,51 @@ def estimate_pvalue(
 ) -> ISResult:
     """Self-normalized tail estimate P(|T| >= t_star) from weighted draws.
 
-    ``statistic`` maps a coefficient vector to a scalar.  All sums run in
-    log space so weights spanning hundreds of orders of magnitude are safe.
+    ``statistic`` maps an (L, p) block of coefficient vectors to shape
+    (L,), as the functions of :func:`coefficient_statistic` do; it is
+    called once.  Weights are scaled by their largest, so log weights
+    spanning hundreds of orders of magnitude are safe.
     """
-    return _tail_estimate(_statistic_values(chain, statistic), t_star, log_weights, lambda_star)
+    values = _statistic_values(chain, statistic)
+    return _tail_estimate(values, [t_star], log_weights, [lambda_star])[0]
 
 
 def _tail_estimate(
-    values: np.ndarray, t_star: float, log_weights: np.ndarray, lambda_star: float | None
-) -> ISResult:
-    """``estimate_pvalue`` given the statistic value of every state."""
+    values: np.ndarray, t_stars, log_weights: np.ndarray, lambda_stars, trial=None
+) -> list[ISResult]:
+    """Tail estimates for T targets from statistic values and (T, L) log weights.
+
+    Each row is reduced by ``np.sum`` along its last axis, so a row of a
+    block gives bit for bit what it gives alone.  NaN and +inf log
+    weights are errors; -inf is a zero weight.
+    """
     L = len(values)
-    log_weights = np.asarray(log_weights, dtype=float)
-    if log_weights.shape != (L,):
+    lw = np.atleast_2d(np.asarray(log_weights, dtype=float))
+    if lw.shape != (len(t_stars), L):
         raise DataError("need one log-weight per state")
-    if np.all(np.isneginf(log_weights)):
+    bad = np.isnan(lw) | np.isposinf(lw)
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise NumericalError(f"{bad.sum()} nan or +inf log weights; first at state {i} of target {k}")
+    top = lw.max(axis=-1, keepdims=True)
+    if np.any(np.isneginf(top)):
         raise NumericalError("all importance weights are zero")
-    hit = np.abs(values) >= t_star
-    log_den = float(logsumexp(log_weights))
-    estimate = float(np.exp(logsumexp(log_weights[hit]) - log_den)) if hit.any() else 0.0
-    ess = float(np.exp(2.0 * log_den - logsumexp(2.0 * log_weights)))
-    degenerate = ess / L < DEGENERACY_FRACTION
-    if degenerate:
-        warnings.warn(
-            f"importance weights are degenerate (ess {ess:.2f} of {L})",
-            RuntimeWarning,
-            stacklevel=3,
+    w = np.exp(lw - top)
+    hit = np.abs(values) >= np.asarray(t_stars, dtype=float)[:, None]
+    total = np.sum(w, axis=-1)
+    estimates = np.sum(np.where(hit, w, 0.0), axis=-1) / total
+    esses = total**2 / np.sum(w * w, axis=-1)
+    results = []
+    for row, estimate, ess, lam in zip(lw, estimates.tolist(), esses.tolist(), lambda_stars):
+        degenerate = ess / L < DEGENERACY_FRACTION
+        if degenerate:
+            msg = f"importance weights are degenerate (ess {ess:.2f} of {L})"
+            warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        results.append(
+            ISResult(estimate=estimate, log_weights=row, cv=None, ess=ess,
+                     degenerate=degenerate, lambda_star=lam, trial=trial)
         )
-    return ISResult(
-        estimate=estimate,
-        log_weights=log_weights,
-        cv=None,
-        ess=ess,
-        degenerate=degenerate,
-        lambda_star=lambda_star,
-    )
+    return results
 
 
 def multi_test(
@@ -232,12 +246,7 @@ def multi_test(
         raise ConfigError("lambda_stars and t_stars must have matching length")
     log_weights = chain_log_weights(chain, spec, basis, sigma2_0, lambda_stars, trial, beta0)
     values = _statistic_values(chain, statistic)
-    results = []
-    for lam_star, t_star, lw in zip(lambda_stars, t_stars, log_weights):
-        res = _tail_estimate(values, float(t_star), lw, float(lam_star))
-        res.trial = trial
-        results.append(res)
-    return results
+    return _tail_estimate(values, t_stars, log_weights, lambda_stars.tolist(), trial)
 
 
 def sample_trial(
@@ -331,37 +340,12 @@ def pvalue_study(
         raise ConfigError("need at least one replicate")
     if basis is None and spec.p > spec.n:
         basis = spectral_decompose(spec)
-    if replicates > 1:
-        runs = [
-            pvalue_study(
-                spec,
-                beta0,
-                sigma2_0,
-                lambda_star,
-                statistic,
-                t_star,
-                L,
-                s,
-                basis=basis,
-                trial=trial,
-                m_dagger=m_dagger,
-                l_pilot=l_pilot,
-                replicates=1,
-            )
-            for s in seed_sequence(seed).spawn(replicates)
-        ]
-        return pool_results(runs, lambda_star)
-    return multi_pvalue_study(
-        spec,
-        beta0,
-        sigma2_0,
-        [lambda_star],
-        statistic,
-        [t_star],
-        L,
-        seed,
-        basis=basis,
-        trial=trial,
-        m_dagger=m_dagger,
-        l_pilot=l_pilot,
-    )[0]
+    seeds = seed_sequence(seed).spawn(replicates) if replicates > 1 else [seed]
+    runs = [
+        multi_pvalue_study(
+            spec, beta0, sigma2_0, [lambda_star], statistic, [t_star], L, s,
+            basis=basis, trial=trial, m_dagger=m_dagger, l_pilot=l_pilot,
+        )[0]
+        for s in seeds
+    ]
+    return pool_results(runs, lambda_star) if replicates > 1 else runs[0]

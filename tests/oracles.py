@@ -250,3 +250,18 @@ def mixed_density_integral(
                 vals = trapz(vals, axes[axis], axis=axis)
             total += float(vals)
     return total
+
+
+def tail_estimate(values, t: float, lw) -> tuple[float, float]:
+    """Self-normalised tail estimate P(|T| >= t) and weight ESS, summed exactly.
+
+    Each log weight is shifted by the largest before exponentiating (the
+    log-sum-exp normalisation), then the Python floats are summed with
+    ``math.fsum``.  A -inf log weight is a zero weight.
+    """
+    lw = [float(x) for x in lw]
+    top = max(lw)
+    w = [math.exp(x - top) for x in lw]
+    total = math.fsum(w)
+    hit = math.fsum(wi for wi, v in zip(w, values) if abs(float(v)) >= t)
+    return hit / total, total * total / math.fsum(wi * wi for wi in w)

@@ -373,7 +373,7 @@ def test_diagnostics_chain_requires_statistic(identity_spec):
     chain = mh_sample(identity_spec, np.zeros(2), Gaussian(1.0), config)
     with pytest.raises(ConfigError):
         chain_diagnostics(chain)
-    rep = chain_diagnostics(chain, g=lambda beta: float(np.sum(np.abs(beta))))
+    rep = chain_diagnostics(chain, g=lambda b: np.sum(np.abs(b), axis=-1))
     series = np.array([float(np.sum(np.abs(b))) for b in chain.beta_matrix()])
     rep2 = chain_diagnostics(series)
     assert rep.psi == rep2.psi

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lassodist import (
     Chain,
@@ -9,6 +13,7 @@ from lassodist import (
     Gaussian,
     NumericalError,
     build_problem,
+    chain_diagnostics,
     coefficient_statistic,
     direct_sample,
     estimate_pvalue,
@@ -26,7 +31,7 @@ from lassodist.density import AugmentedState
 from lassodist.importance import TrialSpec, chain_log_weights, pool_results, sample_trial
 from lassodist.rng import generator
 
-from oracles import rowspace_qform
+from oracles import rowspace_qform, tail_estimate
 
 
 def make_state(active, b, s_inactive):
@@ -283,3 +288,126 @@ def test_pvalue_study_high_dim_auto_basis():
     res = pvalue_study(spec, np.zeros(6), 1.0, 0.8, stat, 0.3, 200, 21)
     assert np.isfinite(res.estimate)
     assert np.all(np.isfinite(res.log_weights))
+
+
+def block_chain(betas):
+    """A chain whose coefficient block is exactly ``betas``."""
+    betas = np.asarray(betas, dtype=float)
+    return Chain(thetas=betas, active=betas != 0.0, iterations=np.arange(len(betas)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 200))
+@example(seed=0, L=7, p=1)
+@example(seed=1, L=1, p=1)
+def test_named_statistics_on_a_block_equal_the_row_path(seed, L, p):
+    # References, one row at a time: the scalar l1 the block form replaces,
+    # and plain Python max and abs, which round nothing.
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((L, p)) * 10.0 ** rng.uniform(-3.0, 3.0, (L, 1))
+    block[rng.random((L, p)) < 0.4] = 0.0
+    block[0] = 0.0
+    block[rng.random(L) < 0.2] = 0.0
+    j = int(rng.integers(p))
+    references = {
+        "l1": lambda row: float(np.sum(np.abs(row))),
+        "linf": lambda row: max((abs(x) for x in row.tolist()), default=0.0),
+        "abs-coord": lambda row: abs(float(row[j])),
+    }
+    for name, reference in references.items():
+        stat = coefficient_statistic(name, j, p=p)
+        values = stat(block)
+        expected = [reference(row) for row in block]
+        assert values.shape == (L,), name
+        assert values.tolist() == expected, name
+        assert [float(stat(row)) for row in block] == expected, name
+        assert imp._statistic_values(block_chain(block), stat).tolist() == expected, name
+    l1 = coefficient_statistic("l1")(block)
+    for value, row in zip(l1.tolist(), block):
+        assert value == pytest.approx(math.fsum(abs(x) for x in row.tolist()), rel=1e-13, abs=0)
+
+
+def test_scalar_statistic_is_config_error(identity_spec):
+    chain = direct_sample(identity_spec, np.zeros(2), Gaussian(1.0), 40, 1)
+
+    def row_l1(beta):
+        return float(np.sum(np.abs(beta)))
+
+    with pytest.raises(ConfigError, match="shape"):
+        estimate_pvalue(chain, row_l1, 0.5, np.zeros(40))
+    with pytest.raises(ConfigError, match="shape"):
+        chain_diagnostics(chain, row_l1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_log_weight_is_numerical_error(identity_spec, bad):
+    chain = direct_sample(identity_spec, np.zeros(2), Gaussian(1.0), 5, 1)
+    stat = coefficient_statistic("l1")
+    lw = np.zeros(5)
+    lw[2] = bad
+    with pytest.raises(NumericalError, match=r"^1 nan or \+inf log weights; first at state 2 "):
+        estimate_pvalue(chain, stat, 0.5, lw)
+    lw[4] = bad
+    with pytest.raises(NumericalError, match=r"^2 nan or \+inf log weights; first at state 2 "):
+        estimate_pvalue(chain, stat, 0.5, lw)
+
+
+def test_negative_infinite_log_weights_are_zero_weights(identity_spec):
+    chain = direct_sample(identity_spec, np.zeros(2), Gaussian(1.0), 5, 1)
+    stat = coefficient_statistic("l1")
+    lw = np.array([0.0, -1.0, -np.inf, 0.5, -np.inf])
+    res = estimate_pvalue(chain, stat, 0.5, lw)
+    estimate, ess = tail_estimate(stat(chain.beta_matrix()), 0.5, lw)
+    assert res.estimate == pytest.approx(estimate, rel=1e-13, abs=0)
+    assert res.ess == pytest.approx(ess, rel=1e-13)
+    with pytest.raises(NumericalError, match="all importance weights are zero"):
+        estimate_pvalue(chain, stat, 0.5, np.full(5, -np.inf))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.sampled_from(["narrow", "wide"]),
+    st.sampled_from(["some", "none", "all"]),
+)
+def test_tail_estimate_matches_fsum_oracle(seed, L, spread, hits):
+    rng = np.random.default_rng(seed)
+    if spread == "wide":
+        lw = rng.uniform(-700.0, 700.0, L)
+    else:
+        lw = rng.uniform(-700.0, 700.0) + rng.uniform(0.0, 3.0) * rng.standard_normal(L)
+    lw[1:][rng.random(L - 1) < 0.1] = -np.inf
+    values = rng.standard_normal(L)
+    t = {"some": 0.7, "none": 1e9, "all": 0.0}[hits]
+    res = estimate_pvalue(block_chain(np.zeros((L, 1))), lambda b: values, t, lw)
+    estimate, ess = tail_estimate(values, t, lw)
+    # abs covers weights that underflow to subnormals, where exp rounds coarsely.
+    assert res.estimate == pytest.approx(estimate, rel=1e-13, abs=1e-300)
+    assert res.ess == pytest.approx(ess, rel=1e-13, abs=0)
+    if hits != "some":
+        assert res.estimate == estimate == {"none": 0.0, "all": 1.0}[hits]
+
+
+def test_multi_test_targets_equal_single_estimates_bit_for_bit(identity_spec):
+    beta0 = np.zeros(2)
+    trial = TrialSpec(sigma2_dagger=5.0, lambda_dagger=0.4)
+    chain = sample_trial(identity_spec, beta0, trial, 500, 11)
+    stat = coefficient_statistic("l1")
+    lambda_stars = np.array([0.3, 0.7, 1.2, 2.0])
+    t_stars = np.array([0.2, 0.6, 1.0, 1.5])
+    multi = multi_test(
+        chain, identity_spec, None, 1.0, lambda_stars, stat, t_stars, trial, beta0
+    )
+    values = stat(chain.beta_matrix())
+    for lam, t, res in zip(lambda_stars.tolist(), t_stars.tolist(), multi):
+        lw = chain_log_weights(chain, identity_spec, None, 1.0, lam, trial, beta0)
+        single = estimate_pvalue(chain, stat, t, lw, lambda_star=lam)
+        assert (res.estimate, res.ess, res.degenerate) == (
+            single.estimate,
+            single.ess,
+            single.degenerate,
+        )
+        estimate, ess = tail_estimate(values, t, lw)
+        assert res.estimate == pytest.approx(estimate, rel=1e-13, abs=0)
+        assert res.ess == pytest.approx(ess, rel=1e-13)
