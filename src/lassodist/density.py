@@ -255,11 +255,19 @@ def scores(
     shape (p,), or a block of states, shape (L, p); the result has the same
     shape.  ``lam`` overrides ``spec.lam``.
     """
+    coef, subgrad = _score_parts(thetas, active, beta, spec)
+    lam = spec.lam if lam is None else lam
+    return coef + lam * spec.weights * subgrad
+
+
+def _score_parts(
+    thetas: np.ndarray, active: np.ndarray, beta: np.ndarray, spec: ProblemSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The penalty-free parts ``C (beta_hat - beta)`` and ``S`` of :func:`scores`."""
     thetas = np.asarray(thetas, dtype=float)
     beta_hat = np.where(active, thetas, 0.0)
     subgrad = np.where(active, np.sign(thetas), thetas)
-    lam = spec.lam if lam is None else lam
-    return (spec.gram @ (beta_hat - beta).T).T + lam * spec.weights * subgrad
+    return (spec.gram @ (beta_hat - beta).T).T, subgrad
 
 
 def score_qform(

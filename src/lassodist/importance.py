@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .density import Gaussian, score_qform, scores
+from .density import Gaussian, _score_parts, score_qform
 from .errors import ConfigError, DataError, NumericalError
 from .problem import ProblemSpec, SpectralBasis, spectral_decompose
 from .rng import Seed, generator, seed_sequence
@@ -114,15 +114,24 @@ def chain_log_weights(
     (p > n); otherwise between full-space densities (p <= n).  Everything
     except the score terms and the penalty power of the Jacobian cancels.
     A scalar ``lambda_star`` gives shape (L,); a vector of T target
-    penalties gives shape (T, L), with the trial term computed once.
+    penalties gives shape (T, L).  The score is affine in the penalty, so
+    its Gram product is computed once, and its quadratic form once per
+    distinct penalty (the trial's included): repeated target penalties
+    share one.
     """
     k = chain.active.sum(axis=1)
     if np.any(k > spec.n):
         raise DataError("active set larger than n has zero density in both laws")
     lambda_stars = np.asarray(lambda_star, dtype=float)
+    coef, subgrad = _score_parts(chain.thetas, chain.active, beta0, spec)
+    qforms: dict[float, np.ndarray] = {}
 
     def qform(lam: float) -> np.ndarray:
-        return score_qform(scores(chain.thetas, chain.active, beta0, spec, lam), spec, basis)
+        # The score at penalty lam, formed as density.scores forms it; one
+        # quadratic form per distinct penalty.
+        if lam not in qforms:
+            qforms[lam] = score_qform(coef + lam * spec.weights * subgrad, spec, basis)
+        return qforms[lam]
 
     dim = spec.p if basis is None else spec.n
     n = spec.n

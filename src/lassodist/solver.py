@@ -8,12 +8,21 @@ coordinate descent, vectorised over the rows.  Coordinate descent finds
 each row's support and signs; after every pass one batched linear solve
 gives each row the exact minimizer on them, and the KKT check alone
 decides whether a row takes it and retires.
+
+Each coordinate step updates the partial residuals of every unconverged
+row with one in-place BLAS rank-one update (``dger``).  The working
+arrays hold one column per row in C order, so a coordinate's row of them
+is contiguous and the transposed partial-residual block is the
+F-contiguous array ``dger`` can write in place.  Retiring rows compacts
+them with ``compress``, which keeps C order; boolean column indexing
+would return F order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .errors import ConfigError, ConvergenceError, DataError, NumericalError
 from .problem import ProblemSpec
@@ -86,24 +95,57 @@ def solve_lasso_gram(
     rounding in the gradient stalls coordinate descent; at penalties that
     small the snap fails instead.
 
+    Each coordinate step is one in-place BLAS ``dger`` on the (p, L)
+    partial-residual block, built in C order whatever the layout of
+    ``gram`` and ``xty``; should the update ever write a copy instead,
+    the solve raises ``NumericalError`` rather than go on from stale
+    partial residuals.
+
     Returns the minimizers (shaped like ``xty``) and the largest KKT
     residual.
 
     Raises
     ------
+    DataError
+        If ``gram`` is not square, does not match the last axis of ``xty``
+        or the shape of ``weights``, or if ``gram`` or ``xty`` has a
+        non-finite entry (the message names the first such row of ``xty``).
+    ConfigError
+        If ``lam`` or a weight is not finite and positive.
     ConvergenceError
         After ``max_iter`` passes with rows above tolerance; the error
         carries the iterate, the indices of those rows and their residuals.
     """
+    gram = np.ascontiguousarray(gram, dtype=float)
     xty = np.asarray(xty, dtype=float)
-    p = xty.shape[-1]
-    lam_w = lam * np.asarray(weights, dtype=float)[:, None]
-    floor = 16 * np.finfo(float).eps * np.abs(xty).max(initial=0.0)
+    weights = np.asarray(weights, dtype=float)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.shape[0] < 1:
+        raise DataError(f"Gram matrix must be square and nonempty, got shape {gram.shape}")
+    p = gram.shape[0]
+    if xty.ndim not in (1, 2) or xty.shape[-1] != p:
+        raise DataError(f"correlations must have shape ({p},) or (L, {p}), got {xty.shape}")
+    if weights.shape != (p,):
+        raise DataError(f"weights must have shape ({p},), got {weights.shape}")
+    if not np.all(np.isfinite(gram)):
+        raise DataError("Gram matrix contains non-finite entries")
+    top = np.abs(xty).max(initial=0.0)
+    if not np.isfinite(top):
+        bad = int(np.argmin(np.isfinite(xty.reshape(-1, p)).all(axis=1)))
+        raise DataError(f"correlation row {bad} contains non-finite entries")
+    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+        raise ConfigError("all penalty weights must be finite and positive")
+    lam = float(lam)
+    if not np.isfinite(lam) or lam <= 0:
+        raise ConfigError(f"penalty level must be finite and positive, got {lam}")
+
+    lam_w = lam * weights[:, None]
+    floor = 16 * np.finfo(float).eps * top
     tol = np.minimum(kkt_tol, np.maximum(0.5 * S_TOL * lam_w, floor))
     diag = gram.diagonal()
-    # Row j of C without its diagonal entry, as a (p, 1) column: the change
-    # in every other coordinate's partial residual per unit move of j.
-    coupling = (gram - np.diag(diag))[:, :, None]
+    # Row j of C without its diagonal entry: the change in every other
+    # coordinate's partial residual per unit move of j.  C order keeps each
+    # row contiguous for the rank-one update.
+    coupling = gram - np.diag(diag)
     inv_diag = np.divide(1.0, diag, out=np.zeros(p), where=diag > 0).tolist()
     lw = lam_w[:, 0].tolist()
 
@@ -112,7 +154,9 @@ def solve_lasso_gram(
         dev = np.abs(grad - lam_w * np.sign(B))
         return np.where(B != 0, dev, np.maximum(dev - lam_w, 0.0))
 
-    # Working arrays hold one column per unconverged row.
+    # Working arrays hold one column per unconverged row, in C order:
+    # ``compress`` keeps it when rows retire, where boolean column indexing
+    # would return F order and make every row access strided.
     target = xty.reshape(-1, p).T.copy()
     out = np.zeros((target.shape[1], p))
     res = np.zeros(len(out))
@@ -127,20 +171,26 @@ def solve_lasso_gram(
             out[rows[done]] = B[:, done].T
             res[rows[done]] = defect[:, done].max(axis=0)
             keep = ~done
-            rows, target, B, grad, defect = (
-                rows[keep], target[:, keep], B[:, keep], grad[:, keep], defect[:, keep]
+            rows = rows[keep]
+            target, B, grad, defect = (
+                a.compress(keep, axis=1) for a in (target, B, grad, defect)
             )
         if rows.size == 0:
             return out.reshape(xty.shape), float(res.max(initial=0.0))
         if passes == max_iter:
             break
         live = ((B != 0) | (defect > 0)).any(axis=1)
-        partial = grad + diag[:, None] * B
+        # A C-ordered partial has an F-contiguous transpose, which BLAS
+        # ``dger`` updates in place.  On any other layout f2py would update
+        # a copy, silently dropping the pass's coupling updates.
+        partial = np.add(grad, diag[:, None] * B, order="C")
+        block = partial.T
         for j in np.flatnonzero(live).tolist():
             rho = partial[j]
             t = lw[j]
             new = (rho - np.minimum(np.maximum(rho, -t), t)) * inv_diag[j]
-            partial -= coupling[j] * (new - B[j])
+            if dger(-1.0, new - B[j], coupling[j], a=block, overwrite_a=1) is not block:
+                raise NumericalError("BLAS rank-one update did not write in place")
             B[j] = new
         passes += 1
         grad = target - gram @ B

@@ -27,7 +27,7 @@ from lassodist import (
     tune_trial,
 )
 from lassodist import importance as imp
-from lassodist.density import AugmentedState
+from lassodist.density import AugmentedState, score_qform, scores
 from lassodist.importance import TrialSpec, chain_log_weights, pool_results, sample_trial
 from lassodist.rng import generator
 
@@ -106,6 +106,39 @@ def test_log_weights_vector_target_equals_scalar_calls(small_spec, wide_spec):
             single = chain_log_weights(chain, spec, basis, 0.7, float(lam), trial, beta0)
             assert single.shape == (7,)
             np.testing.assert_array_equal(row, single)
+
+
+
+def test_log_weights_repeated_penalties_equal_per_penalty_scores(small_spec, wide_spec):
+    """A (T, L) block with repeated penalties equals T single calls bit for bit.
+
+    Each row also equals the log weight built from a full ``scores`` block
+    per penalty, the path that one Gram product and one quadratic form per
+    distinct penalty replace.
+    """
+    trial = TrialSpec(sigma2_dagger=2.5, lambda_dagger=0.45)
+    lambda_stars = np.array([0.25, 0.25, 0.3, 0.45, 0.25])
+    for spec, basis in ((small_spec, None), (wide_spec, spectral_decompose(wide_spec))):
+        beta0 = np.linspace(-0.5, 0.5, spec.p)
+        chain = sample_trial(spec, beta0, trial, 9, 12)
+        block = chain_log_weights(chain, spec, basis, 0.7, lambda_stars, trial, beta0)
+        dim = spec.p if basis is None else spec.n
+        k = chain.active.sum(axis=1)
+
+        def qform(lam):
+            return score_qform(scores(chain.thetas, chain.active, beta0, spec, lam), spec, basis)
+
+        for row, lam in zip(block, lambda_stars.tolist()):
+            single = chain_log_weights(chain, spec, basis, 0.7, lam, trial, beta0)
+            expected = (
+                0.5 * spec.n * qform(trial.lambda_dagger) / trial.sigma2_dagger
+                - 0.5 * spec.n * qform(lam) / 0.7
+                + (dim - k) * math.log(lam / trial.lambda_dagger)
+                + 0.5 * dim * math.log(trial.sigma2_dagger / 0.7)
+            )
+            assert row.tobytes() == single.tobytes()
+            assert row.tobytes() == expected.tobytes()
+        assert block[0].tobytes() == block[1].tobytes() == block[4].tobytes()
 
 
 def test_log_weight_is_full_density_ratio_high_dim():

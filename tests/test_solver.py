@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
+import scipy.linalg.blas
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lassodist.samplers
+import lassodist.solver
 from lassodist import (
     ConfigError,
     ConvergenceError,
@@ -22,7 +26,7 @@ from lassodist import (
 )
 from lassodist.solver import KKT_TOL
 
-from oracles import enumerate_lasso, soft_threshold
+from oracles import coordinate_descent, enumerate_lasso, soft_threshold
 
 
 def test_identity_gram_soft_thresholds():
@@ -350,3 +354,132 @@ def test_singular_support_block_falls_back_to_coordinate_descent():
     beta, worst = solve_lasso_gram(gram, xty, weights, 0.5)
     assert worst <= KKT_TOL
     np.testing.assert_allclose(beta, refs, rtol=0, atol=1e-12)
+
+
+def _retiring_wide_batch():
+    """A p > n batch (n=20, p=50, 30 rows) whose rows retire at different passes.
+
+    Rows 0 and 7 are zero and retire before the first pass, so the working
+    arrays are compacted before any coordinate step.
+    """
+    gen = np.random.default_rng(2024)
+    X = gen.standard_normal((20, 50))
+    spec = build_problem(X, gen.uniform(0.5, 1.5, 50), 0.3)
+    beta = gen.standard_normal(50) * (gen.random(50) < 0.15)
+    Y = X @ beta + gen.standard_normal((30, 20))
+    Y[[0, 7]] = 0.0
+    return spec, Y @ X / spec.n
+
+
+def test_memory_order_of_inputs_leaves_results_bit_identical(monkeypatch):
+    """F-ordered and strided inputs give the C-ordered result bit for bit.
+
+    Every rank-one update must write the partial residuals in place.  An
+    update of a copy leaves a pass without its coupling updates, which the
+    support solves can hide in the output, so a spy on the BLAS call checks
+    the write itself; the small pass cap turns a stall into a
+    ConvergenceError instead of a hang.
+    """
+    calls = []
+
+    def spy(alpha, x, y, a, overwrite_a):
+        out = scipy.linalg.blas.dger(alpha, x, y, a=a, overwrite_a=overwrite_a)
+        calls.append(out is a)
+        return out
+
+    monkeypatch.setattr(lassodist.solver, "dger", spy)
+    spec, xty = _retiring_wide_batch()
+    with pytest.raises(ConvergenceError) as info:
+        solve_lasso_gram(spec.gram, xty, spec.weights, spec.lam, max_iter=20)
+    assert 2 < info.value.draws.size < len(xty)  # rows retire at different passes
+
+    ref, ref_worst = solve_lasso_gram(spec.gram, xty, spec.weights, spec.lam, max_iter=200)
+    assert ref_worst <= KKT_TOL
+    big = np.zeros((xty.shape[0], 2 * spec.p))
+    big[:, ::2] = xty
+    layouts = {
+        "F-ordered gram": (np.asfortranarray(spec.gram), xty),
+        "F-ordered xty": (spec.gram, np.asfortranarray(xty)),
+        "strided xty": (spec.gram, big[:, ::2]),
+    }
+    for name, (gram, block) in layouts.items():
+        beta, worst = solve_lasso_gram(gram, block, spec.weights, spec.lam, max_iter=200)
+        assert beta.tobytes() == ref.tobytes(), name
+        assert worst == ref_worst, name
+    assert calls and all(calls)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_wide_batch_matches_coordinate_descent_oracle(seed):
+    """p > n batches, p up to 40, match scalar coordinate descent within the stopping bounds.
+
+    Enumeration is infeasible at these sizes; the oracle runs plain
+    coordinate descent to a KKT defect of 1e-14 (see _stopping_bounds).
+    """
+    spec, Y = _batch_instance(seed, 5, 12, 16, 40, 6)
+    assert spec.p > spec.n
+    fit = solve_lasso(spec, Y)
+    for i, y in enumerate(Y):
+        xty = spec.X.T @ y / spec.n
+        beta_ref, s_ref = coordinate_descent(spec.gram, xty, spec.weights, spec.lam)
+        np.testing.assert_array_equal(fit.active[i], beta_ref != 0)
+        coef, subgrad = _stopping_bounds(spec, beta_ref != 0)
+        np.testing.assert_allclose(fit.beta_hat[i], beta_ref, rtol=0, atol=coef)
+        np.testing.assert_allclose(fit.subgrad[i], s_ref, rtol=0, atol=subgrad)
+
+
+def _valid_gram_inputs():
+    gen = np.random.default_rng(31)
+    X = gen.standard_normal((8, 20))
+    spec = build_problem(X, 1.0, 0.2)
+    return spec.gram, gen.standard_normal((5, 8)) @ X / 8, spec.weights, spec.lam
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_correlation_is_data_error_naming_its_row(bad):
+    gram, xty, weights, lam = _valid_gram_inputs()
+    xty[3, 7] = bad
+    start = time.perf_counter()
+    with pytest.raises(DataError, match="row 3") as info:
+        solve_lasso_gram(gram, xty, weights, lam)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["non-square gram", "gram against xty", "gram against weights", "non-finite gram"],
+)
+def test_malformed_gram_inputs_are_data_errors(case):
+    gram, xty, weights, lam = _valid_gram_inputs()
+    if case == "non-square gram":
+        gram = gram[:, :-1]
+    elif case == "gram against xty":
+        xty = xty[:, :-1]
+    elif case == "gram against weights":
+        weights = weights[:-1]
+    else:
+        gram = gram.copy()
+        gram[2, 5] = np.nan
+    with pytest.raises(DataError) as info:
+        solve_lasso_gram(gram, xty, weights, lam)
+    assert info.value.exit_code == 2
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, np.nan, np.inf])
+def test_nonpositive_or_nonfinite_penalty_is_config_error(lam):
+    gram, xty, weights, _ = _valid_gram_inputs()
+    with pytest.raises(ConfigError) as info:
+        solve_lasso_gram(gram, xty, weights, lam)
+    assert info.value.exit_code == 1
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+def test_nonpositive_or_nonfinite_weight_is_config_error(bad):
+    gram, xty, weights, lam = _valid_gram_inputs()
+    weights = weights.copy()
+    weights[4] = bad
+    with pytest.raises(ConfigError) as info:
+        solve_lasso_gram(gram, xty, weights, lam)
+    assert info.value.exit_code == 1
