@@ -312,8 +312,6 @@ def _cmd_sample_cond(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot parse --active {args.active!r}") from exc
     else:
         active = np.array([], dtype=int)
-    if active.size and (active.min() < 0 or active.max() >= spec.p):
-        raise ConfigError(f"--active indices must lie in [0, {spec.p})")
 
     center, sigma2, model, run_seq = _resolve_law(args, spec, y)
     config = _sampler_config(args, spec, run_seq, center, sigma2)
@@ -374,6 +372,8 @@ def _pvalue_worker(payload: dict):
 
 
 def _cmd_pvalue(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be at least 1")
     out = _out_dir(args)
     X = _load_matrix(args.x)
     weights = _load_vector(args.weights) if args.weights else 1.0
@@ -401,7 +401,8 @@ def _cmd_pvalue(args: argparse.Namespace) -> int:
             }
             for s in seeds
         ]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # A fork-started pool forks all max_workers children at its first submit.
+        with ProcessPoolExecutor(max_workers=min(args.workers, args.replicates)) as pool:
             runs = list(pool.map(_pvalue_worker, payloads))
         res = pool_results(runs, args.lambda_star)
     else:

@@ -1,16 +1,19 @@
 """Samplers for the augmented-estimator distribution.
 
-Four routes: exact direct sampling (simulate noise, re-solve), a
-Metropolis-Hastings chain mixing coefficient/subgradient updates with
-add/drop moves across active sets, the same chain conditioned on a fixed
-active set, and a random-design variant that refreshes the design matrix
-by resampling its rows.
+Exact direct sampling (simulate noise, re-solve), and three
+Metropolis-Hastings chains: over the full augmented space, conditioned on
+a fixed active set, and with the design refreshed by resampling its rows.
+The chains share one start-up and run loop (``_mh_chain``), one sweep
+(``_MhEngine.sweep``; a conditional chain sweeps with no add/drop
+coordinates) and one move kernel that accepts every coefficient,
+subgradient, drop and add proposal (``_MhEngine._move``).
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +25,10 @@ from .density import (
     qform_log_density,
     sample_errors,
     scores,
-    state_from_arrays,
     validate_state,
 )
 from .errors import ConfigError, ConvergenceError, DataError, NumericalError
-from .problem import ProblemSpec, log_det_jacobian
+from .problem import ProblemSpec, _active_mask, log_det_jacobian
 from .rng import Seed, generator, seed_sequence
 from .solver import solve_lasso
 
@@ -55,6 +57,7 @@ MOVE_KINDS = (COEF_UPDATE, SUBGRAD_UPDATE, DROP_COORD, ADD_COORD, DESIGN_UPDATE)
 # condition number: the computed ratio exceeded its cap by up to 8e-9 on
 # random designs with condition numbers up to 1.6e8 and by 9e-7 up to 1.6e10.
 _CAP_SLACK = 1e-6
+_LOG_HALF = math.log(0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +103,6 @@ class Chain:
     @property
     def p(self) -> int:
         return self.thetas.shape[1]
-
-    def state(self, i: int) -> AugmentedState:
-        return state_from_arrays(self.thetas[i], self.active[i])
-
-    def states(self):
-        for i in range(len(self)):
-            yield self.state(i)
 
     def beta_matrix(self) -> np.ndarray:
         """Coefficient vectors, zeros on inactive coordinates; shape (L, p)."""
@@ -208,18 +204,18 @@ def direct_sample(
 
 
 class _MhEngine:
-    """Mutable chain state shared by the MH samplers.
+    """Mutable chain state of the MH samplers and their one move kernel.
 
-    Tracks the score image ``H`` of the current state, its Gram-inverse
-    image ``G = C^{-1} H``, their product ``q = H'G`` (the Mahalanobis form
-    the log-likelihood ``loglik = f(q)`` depends on), and the log Jacobian
-    ``log_jac`` of the current active set.  ``rebuild`` builds f once per
-    design (``qform_log_density``) and caches diag C, diag C^{-1} and lam w.
+    Tracks the score image ``H`` of the current state, ``G = C^{-1} H``,
+    ``q = H'G`` (the Mahalanobis form the log-likelihood ``loglik = f(q)``
+    depends on), and the log Jacobian ``log_jac`` of the active set.
+    ``rebuild`` builds f once per design (``qform_log_density``) and caches
+    diag C, diag C^{-1} and lam w.
 
-    Every move on coordinate j changes the coefficient by db and the
-    penalty term lam w_j s_j by d = lam w_j ds, so H' = H + db C_j + d e_j
-    and G' = G + db e_j + d (C^{-1})_j.  Since C_j'G = H_j and
-    (C^{-1})_j'H = G_j, the candidate form is q + dq with
+    Every proposal goes through ``_move``.  A move on coordinate j changes
+    the coefficient by db and the penalty term lam w_j s_j by d = lam w_j ds,
+    so H' = H + db C_j + d e_j and G' = G + db e_j + d (C^{-1})_j.  Since
+    C_j'G = H_j and (C^{-1})_j'H = G_j, the candidate form is q + dq with
 
         dq = 2 (db H_j + d G_j) + db^2 C_jj + 2 db d + d^2 (C^{-1})_jj,
 
@@ -227,7 +223,8 @@ class _MhEngine:
     (in place) and then resets q = H'G and loglik = f(q), so rounding in dq
     never accumulates.
 
-    The determinant term of an add/drop move on j is bounded before it is
+    An add/drop move also flips j's membership, adding proposal terms and
+    a determinant term to the log ratio; the latter is bounded before it is
     computed.  Adding j to A multiplies the Jacobian determinant by
     s / (lam w_j), where s = C_jj - C_jA C_AA^{-1} C_Aj is a Schur complement
     of the positive definite Gram C, so 1 / (C^{-1})_jj <= s <= C_jj; a drop
@@ -236,13 +233,11 @@ class _MhEngine:
         add j:   log_jac_new - log_jac <= log(C_jj / (lam w_j))
         drop j:  log_jac_new - log_jac <= log((C^{-1})_jj lam w_j)
 
-    A move is rejected at once when log u exceeds the rest of its log ratio
-    (log-likelihood difference and proposal terms) plus that cap plus
-    ``_CAP_SLACK``.  Only otherwise does it take ``log_det_jacobian`` of the
-    new active set from scratch and compare log u with the exact ratio, whose
-    determinant term is ``log_jac_new - log_jac``; a singular new active
-    block rejects the proposal.  The caps are upper bounds, so every
-    decision is the one the exact ratio alone would make.
+    The move is rejected at once when log u exceeds the rest of its log
+    ratio plus that cap plus ``_CAP_SLACK``.  Only otherwise is
+    ``log_det_jacobian`` of the new active set taken from scratch and log u
+    compared with the exact ratio; a singular new active block rejects.  The
+    caps are upper bounds, so every decision is the exact ratio's.
     """
 
     def __init__(self, beta: np.ndarray, model: ErrorModel, tau: np.ndarray) -> None:
@@ -285,126 +280,89 @@ class _MhEngine:
         """Log target up to a constant (used by design-refresh acceptance)."""
         return self.loglik + self.log_jac
 
-    def _loglik_after(self, j: int, db: float, d: float) -> float:
-        """f(q + dq) for a move changing b_j by db and lam w_j s_j by d."""
+    def _move(
+        self, kind: str, j: int, value: float, db: float, d: float, log_u: float,
+        toggle: tuple[float, float, float] | None = None,
+    ) -> None:
+        """Set theta_j = value if log u passes the move's log MH ratio.
+
+        ``toggle = (plus, minus, cap)`` marks an add/drop move: its ratio
+        gains ``plus - minus`` from the proposal densities and the
+        determinant term that ``cap`` bounds.
+        """
+        H, G = self.H, self.G
         dq = (
-            2.0 * (db * self.H.item(j) + d * self.G.item(j))
+            2.0 * (db * H.item(j) + d * G.item(j))
             + db * db * self.c_diag[j]
             + 2.0 * db * d
             + d * d * self.cinv_diag[j]
         )
-        return self.log_f(self.q + dq)
-
-    def _accept(self, kind: str) -> None:
-        self._settle()
-        self.accepts[kind] += 1
+        log_ratio = self.log_f(self.q + dq) - self.loglik
+        if toggle is not None:
+            plus, minus, cap = toggle
+            if log_u > log_ratio + plus - minus + cap + _CAP_SLACK:
+                return
+            mask = self.active.copy()
+            mask[j] = not mask[j]
+            try:
+                log_jac_new = log_det_jacobian(np.flatnonzero(mask), self.spec)
+            except NumericalError:
+                return
+            log_ratio = log_ratio + (log_jac_new - self.log_jac) + plus - minus
+        if log_u <= log_ratio:
+            spec = self.spec
+            self.theta[j] = value
+            if db != 0.0:
+                H += spec.gram[:, j] * db
+                G[j] += db
+            if d != 0.0:
+                H[j] += d
+                G += d * spec.gram_inv[:, j]
+            if toggle is not None:
+                self.active[j] = not self.active[j]
+                self.log_jac = log_jac_new
+            self._settle()
+            self.accepts[kind] += 1
 
     def coef_update(self, j: int, b_new: float, log_u: float) -> None:
         self.attempts[COEF_UPDATE] += 1
-        if b_new == 0.0:
-            return
-        b_old = self.theta.item(j)
-        db = b_new - b_old
-        ds = math.copysign(1.0, b_new) - math.copysign(1.0, b_old)
-        d = self.lw[j] * ds
-        if log_u <= self._loglik_after(j, db, d) - self.loglik:
-            spec = self.spec
-            self.theta[j] = b_new
-            self.H += spec.gram[:, j] * db
-            self.G[j] += db
-            if ds != 0.0:
-                self.H[j] += d
-                self.G += d * spec.gram_inv[:, j]
-            self._accept(COEF_UPDATE)
+        if b_new != 0.0:
+            b_old = self.theta.item(j)
+            ds = math.copysign(1.0, b_new) - math.copysign(1.0, b_old)
+            self._move(COEF_UPDATE, j, b_new, b_new - b_old, self.lw[j] * ds, log_u)
 
     def subgrad_update(self, j: int, s_new: float, log_u: float) -> None:
         self.attempts[SUBGRAD_UPDATE] += 1
         d = self.lw[j] * (s_new - self.theta.item(j))
-        if log_u <= self._loglik_after(j, 0.0, d) - self.loglik:
-            self.theta[j] = s_new
-            self.H[j] += d
-            self.G += d * self.spec.gram_inv[:, j]
-            self._accept(SUBGRAD_UPDATE)
-
-    def _toggled_log_jac(
-        self, j: int, dlik: float, plus: float, minus: float, cap: float, log_u: float
-    ) -> float | None:
-        """Log Jacobian with coordinate j's membership flipped, if the move is accepted.
-
-        The move's log ratio is ``dlik + (log_jac_new - log_jac) + plus - minus``
-        and its determinant term is at most ``cap``.  Returns None on a
-        rejection, whether by the cap, by the exact ratio or by a singular
-        new active block.
-        """
-        if log_u > dlik + plus - minus + cap + _CAP_SLACK:
-            return None
-        mask = self.active.copy()
-        mask[j] = not mask[j]
-        try:
-            log_jac_new = log_det_jacobian(np.flatnonzero(mask), self.spec)
-        except NumericalError:
-            return None
-        if log_u <= dlik + (log_jac_new - self.log_jac) + plus - minus:
-            return log_jac_new
-        return None
+        self._move(SUBGRAD_UPDATE, j, s_new, 0.0, d, log_u)
 
     def drop_coord(self, j: int, s_new: float, log_u: float) -> None:
         self.attempts[DROP_COORD] += 1
-        b_old = self.theta.item(j)
-        lw = self.lw[j]
+        b_old, lw = self.theta.item(j), self.lw[j]
         d = lw * (s_new - math.copysign(1.0, b_old))
-        log_jac_new = self._toggled_log_jac(
-            j,
-            self._loglik_after(j, -b_old, d) - self.loglik,
-            _normal_logpdf(b_old, self.tau[j]),
-            math.log(0.5),
-            math.log(self.cinv_diag[j] * lw),
-            log_u,
-        )
-        if log_jac_new is not None:
-            spec = self.spec
-            self.theta[j] = s_new
-            self.active[j] = False
-            self.log_jac = log_jac_new
-            self.H -= spec.gram[:, j] * b_old
-            self.H[j] += d
-            self.G += d * spec.gram_inv[:, j]
-            self.G[j] -= b_old
-            self._accept(DROP_COORD)
+        toggle = (_normal_logpdf(b_old, self.tau[j]), _LOG_HALF, math.log(self.cinv_diag[j] * lw))
+        self._move(DROP_COORD, j, s_new, -b_old, d, log_u, toggle)
 
     def add_coord(self, j: int, b_new: float, log_u: float) -> None:
         self.attempts[ADD_COORD] += 1
-        if b_new == 0.0:
-            return
-        lw = self.lw[j]
-        d = lw * (math.copysign(1.0, b_new) - self.theta.item(j))
-        log_jac_new = self._toggled_log_jac(
-            j,
-            self._loglik_after(j, b_new, d) - self.loglik,
-            math.log(0.5),
-            _normal_logpdf(b_new, self.tau[j]),
-            math.log(self.c_diag[j] / lw),
-            log_u,
-        )
-        if log_jac_new is not None:
-            spec = self.spec
-            self.theta[j] = b_new
-            self.active[j] = True
-            self.log_jac = log_jac_new
-            self.H += spec.gram[:, j] * b_new
-            self.H[j] += d
-            self.G += d * spec.gram_inv[:, j]
-            self.G[j] += b_new
-            self._accept(ADD_COORD)
+        if b_new != 0.0:
+            lw = self.lw[j]
+            d = lw * (math.copysign(1.0, b_new) - self.theta.item(j))
+            toggle = (_LOG_HALF, _normal_logpdf(b_new, self.tau[j]), math.log(self.c_diag[j] / lw))
+            self._move(ADD_COORD, j, b_new, b_new, d, log_u, toggle)
 
-    def mixed_iteration(
+    def sweep(
         self,
         model_mask: np.ndarray,
         normals: np.ndarray,
         unifs: np.ndarray,
         log_u: np.ndarray,
     ) -> None:
-        """One sweep: add/drop on the selected coordinates, then the rest."""
+        """One sweep: add/drop on the ``model_mask`` coordinates, then the rest.
+
+        A conditional chain passes an all-False mask, so every coordinate
+        gets a coefficient or subgradient update and the active set stays.
+        """
         p = self.theta.shape[0]
         # Moves take Python floats: scalar arithmetic on numpy scalars costs
         # several times more, and the values are the same doubles.
@@ -420,18 +378,6 @@ class _MhEngine:
         for j in range(p):
             if model_mask[j]:
                 continue
-            if self.active[j]:
-                self.coef_update(j, self.theta.item(j) + self.tau[j] * normals[j], log_u[j])
-            else:
-                self.subgrad_update(j, unifs[j], log_u[j])
-
-    def conditional_iteration(
-        self, normals: np.ndarray, unifs: np.ndarray, log_u: np.ndarray
-    ) -> None:
-        """One sweep with the active set frozen (no add/drop moves)."""
-        p = self.theta.shape[0]
-        normals, unifs, log_u = normals.tolist(), unifs.tolist(), log_u.tolist()
-        for j in range(p):
             if self.active[j]:
                 self.coef_update(j, self.theta.item(j) + self.tau[j] * normals[j], log_u[j])
             else:
@@ -455,68 +401,91 @@ def _weighted_subset(
     with np.errstate(divide="ignore"):
         keys = log_alpha - np.log(-np.log(u))
     mask = np.zeros(p, dtype=bool)
-    if K >= p:
-        mask[:] = True
-        return mask
     mask[np.argpartition(keys, p - K)[p - K :]] = True
     return mask
 
 
 def _initial_state(
-    spec: ProblemSpec,
-    beta: np.ndarray,
-    model: ErrorModel,
-    config: SamplerConfig,
-    init: AugmentedState | None,
-    init_seed: np.random.SeedSequence,
+    spec: ProblemSpec, beta: np.ndarray, model: ErrorModel, config: SamplerConfig,
+    init: AugmentedState | None, init_seed: np.random.SeedSequence,
+    target: np.ndarray | None, max_init_draws: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Resolve the starting point and effective burn-in."""
-    if config.equilibrium_init:
+    """Resolve the starting point and effective burn-in.
+
+    A ``target`` mask restricts the start to that active set: an
+    equilibrium start is then the first exact draw that hits it.
+    """
+    if config.equilibrium_init and target is None:
         start = direct_sample(spec, beta, model, 1, init_seed)
         return start.thetas[0], start.active[0], 0
-    if init is None:
-        # Deterministic default: start at the centering vector itself,
-        # inactive subgradients at zero.
-        mask = np.asarray(beta, dtype=float) != 0.0
-        theta = np.where(mask, beta, 0.0)
-        return theta, mask, config.burn_in
-    validate_state(init, spec.p)
-    mask = init.active_mask()
-    return init.theta(), mask, config.burn_in
+    if config.equilibrium_init:
+        # Exact draws in growing batches that continue one noise stream; with
+        # Gaussian errors the first hit is the draw a one-at-a-time search finds.
+        rng_init = generator(init_seed)
+        tried, size = 0, 16
+        while tried < max_init_draws:
+            batch = direct_sample(spec, beta, model, min(size, max_init_draws - tried), rng_init)
+            hits = np.flatnonzero(np.all(batch.active == target, axis=1))
+            if hits.size:
+                return batch.thetas[hits[0]], target, 0
+            tried += len(batch)
+            size *= 2
+        raise NumericalError(
+            f"no exact draw hit the conditioning active set in {max_init_draws} tries"
+        )
+    if init is not None:
+        validate_state(init, spec.p)
+        mask = init.active_mask()
+        if target is not None and not np.array_equal(mask, target):
+            raise ConfigError("initial state must have the conditioning active set")
+        return init.theta(), mask, config.burn_in
+    if target is not None:
+        return np.where(target, spec.lam, 0.0), target, config.burn_in
+    # Deterministic default: start at the centering vector itself,
+    # inactive subgradients at zero.
+    mask = beta != 0.0
+    return np.where(mask, beta, 0.0), mask, config.burn_in
 
 
-def _run_chain(
-    engine: _MhEngine,
-    config: SamplerConfig,
-    burn_in: int,
-    rng: np.random.Generator,
-    conditional: bool,
-    design_step=None,
+def _mh_chain(
+    spec: ProblemSpec, beta: np.ndarray, model: ErrorModel, config: SamplerConfig,
+    init: AugmentedState | None, wide_message: str, target: np.ndarray | None = None,
+    max_init_draws: int = 0, design_step=None,
 ) -> Chain:
-    p = engine.theta.shape[0]
+    """Checks, seeds, starting state, engine and sweeps of every MH sampler.
+
+    A ``target`` mask conditions the chain on that active set, so no
+    add/drop coordinates are drawn.  ``design_step(engine, rng)`` runs
+    before each sweep and returns the engine to continue with.
+    """
+    if spec.p > spec.n:
+        raise ConfigError(wide_message)
+    _validate_config(config, spec.p)
+    beta = np.asarray(beta, dtype=float)
+    init_seed, moves_seq, design_seq = seed_sequence(config.seed).spawn(3)
+    theta0, active0, burn_in = _initial_state(
+        spec, beta, model, config, init, init_seed, target, max_init_draws
+    )
+    engine = _MhEngine(beta, model, config.tau)
+    engine.set_design(spec)
+    engine.set_state(theta0, active0)
+    rng, rng_design = generator(moves_seq), generator(design_seq)
+    p = spec.p
     log_alpha = np.log(np.asarray(config.alpha, dtype=float))
-    kept = config.iters - burn_in
-    thetas = np.empty((kept, p))
-    active = np.empty((kept, p), dtype=bool)
-    row = 0
-    for t in range(1, config.iters + 1):
+    fixed = np.zeros(p, dtype=bool)
+    thetas = np.empty((config.iters - burn_in, p))
+    active = np.empty(thetas.shape, dtype=bool)
+    for t in range(config.iters):
         if design_step is not None:
-            design_step(engine)
-        if conditional:
-            normals = rng.standard_normal(p)
-            unifs = rng.uniform(-1.0, 1.0, p)
-            log_u = np.log(rng.random(p))
-            engine.conditional_iteration(normals, unifs, log_u)
-        else:
-            model_mask = _weighted_subset(log_alpha, config.K, rng)
-            normals = rng.standard_normal(p)
-            unifs = rng.uniform(-1.0, 1.0, p)
-            log_u = np.log(rng.random(p))
-            engine.mixed_iteration(model_mask, normals, unifs, log_u)
-        if t > burn_in:
-            thetas[row] = engine.theta
-            active[row] = engine.active
-            row += 1
+            engine = design_step(engine, rng_design)
+        model_mask = fixed if target is not None else _weighted_subset(log_alpha, config.K, rng)
+        normals = rng.standard_normal(p)
+        unifs = rng.uniform(-1.0, 1.0, p)
+        log_u = np.log(rng.random(p))
+        engine.sweep(model_mask, normals, unifs, log_u)
+        if t >= burn_in:
+            thetas[t - burn_in] = engine.theta
+            active[t - burn_in] = engine.active
     tried = {k: v for k, v in engine.attempts.items() if v > 0}
     return Chain(
         thetas=thetas,
@@ -540,16 +509,10 @@ def mh_sample(
     Each iteration proposes add/drop moves on K weighted-sampled
     coordinates and coefficient/subgradient updates on the others.
     """
-    if spec.p > spec.n:
-        raise ConfigError("the MH sampler requires p <= n; use direct_sample instead")
-    _validate_config(config, spec.p)
-    beta = np.asarray(beta, dtype=float)
-    init_seq, moves_seq, _design_seq = seed_sequence(config.seed).spawn(3)
-    theta0, active0, burn_in = _initial_state(spec, beta, model, config, init, init_seq)
-    engine = _MhEngine(beta, model, config.tau)
-    engine.set_design(spec)
-    engine.set_state(theta0, active0)
-    return _run_chain(engine, config, burn_in, generator(moves_seq), conditional=False)
+    return _mh_chain(
+        spec, beta, model, config, init,
+        "the MH sampler requires p <= n; use direct_sample instead",
+    )
 
 
 def conditional_mh_sample(
@@ -566,48 +529,14 @@ def conditional_mh_sample(
     Only coefficient and subgradient updates are proposed, so the log
     Jacobian is computed once, at the start.  With ``equilibrium_init``
     the starting point is found by rejection: exact draws until one hits
-    ``A_star``.
+    ``A_star``.  Indices in ``A_star`` must be distinct and lie in [0, p).
     """
-    if spec.p > spec.n:
-        raise ConfigError("the conditional sampler requires p <= n")
-    _validate_config(config, spec.p)
-    beta = np.asarray(beta, dtype=float)
-    target = np.zeros(spec.p, dtype=bool)
-    target[np.asarray(A_star, dtype=int)] = True
-
-    init_seq, moves_seq, _design_seq = seed_sequence(config.seed).spawn(3)
-    burn_in = config.burn_in
-    if config.equilibrium_init:
-        # Exact draws in growing batches that continue one noise stream; with
-        # Gaussian errors the first hit is the draw a one-at-a-time search finds.
-        rng_init = generator(init_seq)
-        theta0, tried, size = None, 0, 16
-        while theta0 is None and tried < max_init_draws:
-            batch = direct_sample(spec, beta, model, min(size, max_init_draws - tried), rng_init)
-            hits = np.flatnonzero(np.all(batch.active == target, axis=1))
-            if hits.size:
-                theta0 = batch.thetas[hits[0]]
-            tried += len(batch)
-            size *= 2
-        if theta0 is None:
-            raise NumericalError(
-                f"no exact draw hit the conditioning active set in {max_init_draws} tries"
-            )
-        active0 = target
-        burn_in = 0
-    elif init is not None:
-        validate_state(init, spec.p)
-        if not np.array_equal(init.active_mask(), target):
-            raise ConfigError("initial state must have the conditioning active set")
-        theta0, active0 = init.theta(), target
-    else:
-        theta0 = np.where(target, spec.lam, 0.0)
-        active0 = target
-
-    engine = _MhEngine(beta, model, config.tau)
-    engine.set_design(spec)
-    engine.set_state(theta0, active0)
-    return _run_chain(engine, config, burn_in, generator(moves_seq), conditional=True)
+    return _mh_chain(
+        spec, beta, model, config, init,
+        "the conditional sampler requires p <= n",
+        target=_active_mask(A_star, spec.p),
+        max_init_draws=max_init_draws,
+    )
 
 
 def random_design_mh_sample(
@@ -617,7 +546,6 @@ def random_design_mh_sample(
     config: SamplerConfig,
     init: AugmentedState | None = None,
     row_pool: np.ndarray | None = None,
-    freeze_design: bool = False,
     max_retries: int = 50,
 ) -> Chain:
     """MH chain that also refreshes the design by resampling its rows.
@@ -625,67 +553,39 @@ def random_design_mh_sample(
     Each iteration first proposes replacing the design with n rows drawn
     with replacement from ``row_pool`` (default: the rows of ``spec.X``),
     accepted by the ratio of augmented densities at the current state (the
-    row density cancels); then runs one ordinary MH sweep.  With
-    ``freeze_design`` the refresh step is skipped entirely, which
-    reproduces :func:`mh_sample` draw-for-draw on the same seed.
+    row density cancels); then runs one ordinary MH sweep.
     """
-    if spec.p > spec.n:
-        raise ConfigError("the random-design sampler requires p <= n")
-    _validate_config(config, spec.p)
-    beta = np.asarray(beta, dtype=float)
     pool = spec.X if row_pool is None else np.asarray(row_pool, dtype=float)
     if pool.ndim != 2 or pool.shape[1] != spec.p:
         raise DataError(f"row pool must have shape (m, {spec.p})")
 
-    init_seq, moves_seq, design_seq = seed_sequence(config.seed).spawn(3)
-    theta0, active0, burn_in = _initial_state(spec, beta, model, config, init, init_seq)
-    engine = _MhEngine(beta, model, config.tau)
-    engine.set_design(spec)
-    engine.set_state(theta0, active0)
+    def design_step(eng: _MhEngine, rng_design: np.random.Generator) -> _MhEngine:
+        eng.attempts[DESIGN_UPDATE] += 1
+        for _ in range(max_retries):
+            X_new = pool[rng_design.integers(0, pool.shape[0], size=spec.n)]
+            gram = X_new.T @ X_new / spec.n
+            candidate = replace(spec, X=X_new, gram=(gram + gram.T) / 2.0, rank_deficient=False)
+            try:
+                candidate.gram_cholesky
+            except NumericalError:
+                continue
+            break
+        else:
+            raise NumericalError(
+                f"row resampling produced no full-rank design in {max_retries} tries"
+            )
+        # The probe shares the counters and the (unchanged) state arrays;
+        # set_design gives it its own H, G and log Jacobian on the candidate.
+        probe = copy.copy(eng)
+        probe.set_design(candidate)
+        if math.log(rng_design.random()) <= probe.log_posterior() - eng.log_posterior():
+            probe.accepts[DESIGN_UPDATE] += 1
+            return probe
+        return eng
 
-    design_step = None
-    if not freeze_design:
-        rng_design = generator(design_seq)
-
-        def design_step(eng: _MhEngine) -> None:
-            eng.attempts[DESIGN_UPDATE] += 1
-            candidate = None
-            for _ in range(max_retries):
-                rows = rng_design.integers(0, pool.shape[0], size=spec.n)
-                X_new = pool[rows]
-                gram = X_new.T @ X_new / spec.n
-                gram = (gram + gram.T) / 2.0
-                trial = ProblemSpec(
-                    X=X_new,
-                    weights=spec.weights,
-                    lam=spec.lam,
-                    gram=gram,
-                    rank_deficient=False,
-                )
-                try:
-                    trial.gram_cholesky
-                except NumericalError:
-                    continue
-                candidate = trial
-                break
-            if candidate is None:
-                raise NumericalError(
-                    f"row resampling produced no full-rank design in {max_retries} tries"
-                )
-            current = eng.log_posterior()
-            probe = _MhEngine(eng.beta, eng.model, eng.tau)
-            probe.set_design(candidate)
-            probe.set_state(eng.theta, eng.active)
-            if math.log(rng_design.random()) <= probe.log_posterior() - current:
-                eng.set_design(candidate)
-                eng.accepts[DESIGN_UPDATE] += 1
-
-    return _run_chain(
-        engine,
-        config,
-        burn_in,
-        generator(moves_seq),
-        conditional=False,
+    return _mh_chain(
+        spec, beta, model, config, init,
+        "the random-design sampler requires p <= n",
         design_step=design_step,
     )
 
@@ -717,7 +617,30 @@ def write_chain_csv(chain: Chain, path: str | Path) -> None:
         )
 
 
+def _row_fault(cells: list[str], p: int) -> str | None:
+    """Why one chain CSV row does not parse, or None if it does."""
+    try:
+        int(cells[0])
+    except ValueError:
+        return f"iteration {cells[0]!r} is not an integer"
+    try:
+        mask = int(cells[1], 16)
+    except ValueError:
+        return f"active-set bitmask {cells[1]!r} is not hexadecimal"
+    if not 0 <= mask < 1 << p:
+        return f"active-set bitmask {cells[1]!r} sets bits at or above p={p}"
+    try:
+        np.array(cells[2:], dtype=float)
+    except ValueError:
+        return "a theta cell is not a number"
+    return None
+
+
 def read_chain_csv(path: str | Path) -> Chain:
+    """Read a chain written by :func:`write_chain_csv`.
+
+    A malformed file raises DataError; a bad row is named by its 1-based line.
+    """
     with open(path, encoding="utf-8") as fh:
         rows = [line.split(",") for line in map(str.strip, fh) if line]
     if not rows:
@@ -727,20 +650,27 @@ def read_chain_csv(path: str | Path) -> Chain:
     p = len(rows[0]) - 2
     if p < 1:
         raise DataError("chain CSV rows need an iteration, a bitmask and theta columns")
-    keep = (1 << p) - 1
+    try:
+        iterations = np.array([int(cells[0]) for cells in rows], dtype=int)
+        masks = [int(cells[1], 16) for cells in rows]
+        thetas = np.array([cells[2:] for cells in rows], dtype=float)
+        parsed = min(masks) >= 0 and max(masks) >> p == 0
+    except ValueError:
+        parsed = False
+    if not parsed:
+        i, fault = next((i, f) for i, cells in enumerate(rows) if (f := _row_fault(cells, p)))
+        with open(path, encoding="utf-8") as fh:
+            line = [k for k, text in enumerate(fh, 1) if text.strip()][i]
+        raise DataError(f"chain CSV line {line}: {fault}")
     width = (p + 7) // 8
-    masks = b"".join((int(cells[1], 16) & keep).to_bytes(width, "little") for cells in rows)
+    masks = b"".join(m.to_bytes(width, "little") for m in masks)
     active = np.unpackbits(
         np.frombuffer(masks, dtype=np.uint8).reshape(len(rows), width),
         axis=1,
         count=p,
         bitorder="little",
     ).astype(bool)
-    return Chain(
-        thetas=np.array([cells[2:] for cells in rows], dtype=float),
-        active=active,
-        iterations=np.array([int(cells[0]) for cells in rows], dtype=int),
-    )
+    return Chain(thetas=thetas, active=active, iterations=iterations)
 
 
 def write_chain_meta(

@@ -309,7 +309,7 @@ def test_c06_jacobian_penalty_scaling_and_basis_invariance():
     worst_rot = 0.0
     checked = 0
     for i in range(len(chain)):
-        state = chain.state(i)
+        state = state_from_arrays(chain.thetas[i], chain.active[i])
         dim = 8 - state.active.size
         if dim < 1:
             continue

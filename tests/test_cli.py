@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from lassodist import cli
 from lassodist.cli import main
 from lassodist.samplers import read_chain_csv
 
@@ -198,6 +199,56 @@ def test_pvalue_parallel_workers_match_sequential(tmp_path):
     assert outs["seq"]["estimate"] == outs["par"]["estimate"]
     assert outs["seq"]["ess"] == outs["par"]["ess"]
     assert outs["seq"]["cv"] == outs["par"]["cv"]
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pvalue_workers_capped_at_replicates(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    data = gen_dataset(tmp_path, n=12, p=3)
+    common = ("pvalue", "--x", data / "X.csv", "--sigma2", 1.0, "--lambda-star", 0.5,
+              "--t-star", 0.3, "--L", 50, "--l-pilot", 15, "--replicates", 2, "--seed", 9)
+    assert run(*common, "--workers", 500, "--out-dir", tmp_path / "many") == 0
+    assert _InProcessPool.sizes == [2]
+    capsys.readouterr()
+    for workers in (0, -3):
+        assert run(*common, "--workers", workers, "--out-dir", tmp_path / "none") == 1
+        assert "--workers must be at least 1" in capsys.readouterr().err
+    assert _InProcessPool.sizes == [2]
+
+
+@pytest.mark.parametrize(
+    "row, fault",
+    [
+        ("1,zz,0.5,0.1", "bitmask 'zz' is not hexadecimal"),
+        ("1,3,0.5,abc", "theta cell is not a number"),
+        ("1,7,0.5,0.1", "bitmask '7' sets bits at or above p=2"),
+    ],
+    ids=["bad-mask", "bad-theta", "mask-past-p"],
+)
+def test_diagnose_malformed_chain_exits_two(tmp_path, capsys, row, fault):
+    chain = tmp_path / "chain.csv"
+    chain.write_text(f"1,1,0.5,0.1\n\n{row}\n4,2,0.5,0.1\n")
+    assert run("diagnose", "--chain", chain, "--g", "l1", "--out-dir", tmp_path / "d") == 2
+    err = capsys.readouterr().err
+    assert "chain CSV line 3: " in err and fault in err
 
 
 def test_diagnose_reports_and_histogram(tmp_path):

@@ -28,6 +28,7 @@ from lassodist.density import (
     radial_log_pdf,
     score_qform,
     scores,
+    state_from_arrays,
     validate_state,
 )
 from lassodist.density import EmpiricalElliptical
@@ -245,7 +246,7 @@ def test_rowspace_density_round_trip(wide_spec):
     chain = direct_sample(wide_spec, beta, Gaussian(1.0), 5, 3)
     basis = spectral_decompose(wide_spec)
     for i in range(len(chain)):
-        state = chain.state(i)
+        state = state_from_arrays(chain.thetas[i], chain.active[i])
         assert rowspace_residual(state, basis, wide_spec) <= 1e-8
         val = log_density_rowspace(state, beta, Gaussian(1.0), wide_spec, basis)
         assert np.isfinite(val)

@@ -32,6 +32,7 @@ from lassodist import (
     threshold_estimator,
     validate_state,
 )
+from lassodist.density import state_from_arrays
 from lassodist.rng import generator
 from lassodist.samplers import active_bitmask
 
@@ -249,7 +250,7 @@ def test_posterior_student_states_are_valid(small_spec):
     y = 1.5 * generator(3).standard_normal(small_spec.n)
     chain = posterior_decision_sample(small_spec, y, StudentT(dof=3.0, scale=1.0), 200, 4)
     for i in range(0, 200, 40):
-        validate_state(chain.state(i), small_spec.p)
+        validate_state(state_from_arrays(chain.thetas[i], chain.active[i]), small_spec.p)
 
 
 def test_posterior_records_kkt_residual(small_spec):

@@ -27,7 +27,7 @@ from lassodist import (
     tune_trial,
 )
 from lassodist import importance as imp
-from lassodist.density import AugmentedState, score_qform, scores
+from lassodist.density import AugmentedState, score_qform, scores, state_from_arrays
 from lassodist.importance import TrialSpec, chain_log_weights, pool_results, sample_trial
 from lassodist.rng import generator
 
@@ -87,7 +87,7 @@ def test_log_weight_is_full_density_ratio_low_dim(small_spec):
     spec_trial = build_problem(small_spec.X, small_spec.weights, trial.lambda_dagger)
     lw = chain_log_weights(chain, small_spec, None, sigma2_0, lambda_star, trial, beta0)
     for i in range(len(chain)):
-        state = chain.state(i)
+        state = state_from_arrays(chain.thetas[i], chain.active[i])
         expected = log_density(state, beta0, Gaussian(sigma2_0), spec_target) - log_density(
             state, beta0, Gaussian(trial.sigma2_dagger), spec_trial
         )

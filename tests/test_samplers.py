@@ -92,8 +92,8 @@ def test_direct_sample_hits_phi_product_cell():
 
 def test_direct_sample_states_are_valid(small_spec):
     chain = direct_sample(small_spec, np.zeros(5), Gaussian(1.0), 25, 3)
-    for state in chain.states():
-        validate_state(state, small_spec.p)
+    for i in range(len(chain)):
+        validate_state(state_from_arrays(chain.thetas[i], chain.active[i]), small_spec.p)
     assert chain.max_kkt_residual <= 1e-8
 
 
@@ -139,7 +139,7 @@ def test_mls_states_remain_valid(small_spec):
     )
     chain = mh_sample(small_spec, np.zeros(5), Gaussian(1.0), config)
     for i in range(0, len(chain), 37):
-        validate_state(chain.state(i), small_spec.p)
+        validate_state(state_from_arrays(chain.thetas[i], chain.active[i]), small_spec.p)
 
 
 def test_sampler_config_validation(identity_spec):
@@ -184,6 +184,13 @@ def test_conditional_chain_keeps_active_set_fixed(identity_spec):
     assert np.all(np.abs(chain.thetas[:, 1]) <= 1.0)
 
 
+@pytest.mark.parametrize("A_star", [[-1], [7], [0, 0]], ids=["negative", "past-p", "duplicate"])
+def test_conditional_rejects_bad_active_set(small_spec, A_star):
+    config = default_sampler_config(small_spec, 4, iters=10, burn_in=0)
+    with pytest.raises(ConfigError):
+        conditional_mh_sample(small_spec, np.zeros(5), Gaussian(1.0), np.array(A_star), config)
+
+
 def test_conditional_equilibrium_init_draws_matching_state(identity_spec):
     config = default_sampler_config(
         identity_spec, 33, iters=60, burn_in=10, equilibrium_init=True
@@ -193,19 +200,6 @@ def test_conditional_equilibrium_init_draws_matching_state(identity_spec):
     )
     assert len(chain) == 60
     assert np.all(chain.active == np.array([True, False]))
-
-
-def test_random_design_frozen_matches_plain_mls(small_spec):
-    config = default_sampler_config(
-        small_spec, 77, iters=200, burn_in=20, equilibrium_init=True
-    )
-    beta = np.zeros(5)
-    plain = mh_sample(small_spec, beta, Gaussian(1.0), config)
-    frozen = random_design_mh_sample(
-        small_spec, beta, Gaussian(1.0), config, freeze_design=True
-    )
-    np.testing.assert_array_equal(plain.thetas, frozen.thetas)
-    np.testing.assert_array_equal(plain.active, frozen.active)
 
 
 def test_random_design_degenerate_pool_errors(identity_spec):
