@@ -9,6 +9,7 @@ reproducible from the manifest alone.  No numerics live here.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -565,7 +566,13 @@ def _cmd_posterior_check(args: argparse.Namespace) -> int:
     return _write_chain_outputs(out, args, chain, lam, sigma2, echo, noun="draws")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process.
+
+    Building it takes milliseconds, as long as a short command; parsing
+    returns a fresh namespace and leaves the parser as it was.
+    """
     parser = _Parser(
         prog="lassodist",
         description="Sampling-distribution toolkit for penalized regression estimates",

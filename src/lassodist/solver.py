@@ -6,8 +6,9 @@ problem, the posterior decision draw, and recentred objectives.  One
 response and a block of responses (one row per draw) go through the same
 coordinate descent, vectorised over the rows.  Coordinate descent finds
 each row's support and signs; after every pass one batched linear solve
-gives each row the exact minimizer on them, and the KKT check alone
-decides whether a row takes it and retires.
+gives each row the exact minimizer on them, and each row steps toward it
+as far as its signs allow, if that does not raise its objective.  The
+KKT check alone decides when a row retires.
 
 Each coordinate step updates the partial residuals of every unconverged
 row with one in-place BLAS rank-one update (``dger``).  The working
@@ -79,14 +80,15 @@ def solve_lasso_gram(
     each pass but the last, one batched solve of
     ``C_AA b_A = xty_A - lam W_A s_A`` gives every unconverged row the
     exact minimizer on its current A and s (Osborne, Presnell and Turlach,
-    2000).  A row takes it when its signs on A equal the iterate's and its
-    KKT defect is within tolerance on every coordinate; otherwise it keeps
-    its coordinate-descent iterate and carries on.  A singular support
-    block (duplicate columns, or |A| > n when p > n) makes the batched
-    solve fail; that pass then solves the rows one at a time, and a row
-    whose own block is singular keeps its iterate.  Either way the KKT
-    residual of every row is recomputed in full after each pass, and rows
-    within tolerance retire: the KKT check is the only stopping rule.
+    2000).  Each row then steps from its iterate toward that minimizer
+    until a coordinate reaches zero, which it sets to exactly zero, and
+    only if its objective does not rise (``_orthant_step``); a row whose
+    signs hold takes the minimizer whole.  An exactly singular block
+    (duplicate columns) makes the batched solve fail; that pass then
+    solves the rows one at a time, and a row whose own block is singular
+    keeps its iterate.  The KKT residual of every row is recomputed after
+    each pass, and rows within tolerance retire: the KKT check is the only
+    stopping rule.
 
     The tolerance on coordinate j is ``min(kkt_tol, S_TOL * lam * w_j / 2)``:
     at small penalties the KKT residual alone would leave the subgradient
@@ -198,15 +200,12 @@ def solve_lasso_gram(
             # No support solve after the last pass: a capped solve reports
             # the rows coordinate descent left unresolved.
             continue
-        # A row whose exact minimizer on its current support and signs keeps
-        # those signs and passes the KKT check takes it as its iterate, and
-        # the check at the top of the loop retires it.
+        # Each row steps toward the exact minimizer on its current support
+        # and signs as far as those signs allow (``_orthant_step``).  A row
+        # that reaches it and passes the KKT check retires at the top of
+        # the loop.
         cand = _support_solve(gram, target, lam_w, B)
-        cand_grad = target - gram @ cand
-        take = (np.sign(cand) == np.sign(B)).all(axis=0)
-        take &= (kkt_defect(cand, cand_grad) <= tol).all(axis=0)
-        B[:, take] = cand[:, take]
-        grad[:, take] = cand_grad[:, take]
+        B, grad = _orthant_step(B, grad, cand, target - gram @ cand, lam_w)
 
     out[rows] = B.T
     stuck = defect.max(axis=0)
@@ -230,7 +229,7 @@ def _support_solve(
     Solves ``C_AA b_A = c_A - lam W_A s_A`` for all columns in one batched
     call: each support is gathered into a (L, k, k) block padded with the
     identity up to the largest |A|.  A column whose block is singular gets
-    NaN, which no sign check accepts.
+    NaN, which no step takes.
     """
     active = B != 0
     k = int(active.sum(axis=0).max(initial=0))
@@ -255,6 +254,51 @@ def _support_solve(
                 pass
     cand.T[cols, idx] = np.where(valid, sol, 0.0)
     return cand
+
+
+def _orthant_step(
+    B: np.ndarray,
+    grad: np.ndarray,
+    cand: np.ndarray,
+    cand_grad: np.ndarray,
+    lam_w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Line search from each column of ``B`` toward its support-solve candidate.
+
+    The feature-sign step of Lee, Battle, Raina and Ng (NIPS 2007): the
+    step b + t (cand - b) runs to t = 1 unless a coordinate reaches zero
+    first, at t = b_j / (b_j - cand_j); that coordinate is then set to
+    exactly zero.  Up to there |b| is linear, so with d = cand - b the
+    objective changes by ``t * slope + t**2 * curv / 2``, where ``slope`` is
+    its derivative along d and ``curv = d'C d``.  ``C d = grad - cand_grad``
+    comes from the gradients ``c - C b`` already formed, and the new
+    gradient interpolates them, so no product with C is needed.
+
+    A column steps only if its objective does not rise: on a nearly
+    singular block the computed candidate need not be the minimizer on its
+    face, and a NaN candidate never steps.  On a singular block (|A| > n
+    when p > n) the face has no minimizer, and the candidate is a huge
+    multiple of a null vector whose sign is rounding noise; when it lies
+    uphill (slope > 0) the step runs the other way, through the iterate.
+    Returns the new iterate and its gradient.
+    """
+    d = cand - B
+    slope = ((lam_w * np.sign(B) - grad) * d).sum(axis=0)
+    curv = (d * (grad - cand_grad)).sum(axis=0)
+    way = np.where(slope > 0, -1.0, 1.0)
+    down = way * d
+    cross = B * down < 0
+    frac = np.divide(B, -down, out=np.ones_like(B), where=cross)
+    t = np.minimum(frac.min(axis=0), 1.0)
+    take = way * slope + 0.5 * t * curv <= 0
+    # (1 - t) b + t cand is exactly cand at t = 1, as the retiring check needs.
+    wt = way * t
+    keep = 1 - wt
+    step = np.where(cross & (frac <= t), 0.0, keep * B + wt * cand)
+    return (
+        np.where(take, step, B),
+        np.where(take, keep * grad + wt * cand_grad, grad),
+    )
 
 
 def _snap_subgradient(beta: np.ndarray, raw: np.ndarray) -> np.ndarray:

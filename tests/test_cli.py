@@ -34,6 +34,21 @@ def test_gen_data_reruns_are_byte_identical(tmp_path):
     assert X.shape == (20, 5)
 
 
+def test_parse_error_leaves_the_shared_parser_unchanged(tmp_path, capsys):
+    """One process parses a failing argv, then a valid one, with one parser."""
+    assert cli.build_parser() is cli.build_parser()
+    out = gen_dataset(tmp_path, "d")
+    names = ["X.csv", "y.csv", "beta0.csv", "manifest.json"]
+    first = {name: (out / name).read_bytes() for name in names}
+    bad = ("gen-data", "--n", 20, "--p", 5, "--seed", 3, "--rho", 0.9, "--amplitude", 4.0)
+    assert run(*bad, "--out-dir", tmp_path / "bad", "--no-such-flag") == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    assert run("gen-data", "--n", 20, "--p", 5, "--seed", 3, "--out-dir", out) == 0
+    for name in names:
+        assert (out / name).read_bytes() == first[name], name
+
+
 def test_sample_joint_mls_keeps_post_burnin_states(tmp_path):
     data = gen_dataset(tmp_path)
     out = tmp_path / "run"

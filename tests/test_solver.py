@@ -26,7 +26,7 @@ from lassodist import (
 )
 from lassodist.solver import KKT_TOL
 
-from oracles import coordinate_descent, enumerate_lasso, soft_threshold
+from oracles import coordinate_descent, enumerate_lasso, lasso_homotopy, soft_threshold
 
 
 def test_identity_gram_soft_thresholds():
@@ -70,7 +70,15 @@ def test_matches_enumeration_oracle(seed, p):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(seed=3265)
 def test_kkt_residual_below_tolerance_wide(seed):
+    """p > n single solves end within tolerance with exact signs on the support.
+
+    Seed 3265 reaches supports of 6 and 7 coordinates (n = 5), whose
+    support solves return huge multiples of a null vector, two of them
+    uphill.  Stepping toward those unchecked never converges; the objective
+    guard and the downhill orientation of the step each prevent that.
+    """
     gen = np.random.default_rng(seed)
     n, p = 5, 9
     X = gen.standard_normal((n, p))
@@ -356,11 +364,57 @@ def test_singular_support_block_falls_back_to_coordinate_descent():
     np.testing.assert_allclose(beta, refs, rtol=0, atol=1e-12)
 
 
+def test_orthant_step_cases():
+    """One column per case of the line search after a support solve.
+
+    0: the candidate keeps the iterate's signs and is taken bit for bit.
+    1: it flips coordinate 2, so the step stops where that coordinate
+       reaches zero and sets it to exactly zero.
+    2: it overshoots the minimizer on the face threefold, which would raise
+       the objective, so the iterate stays.
+    3: it lies uphill, through the iterate from the minimizer, so the step
+       runs the other way and ends at the minimizer.
+    4: it is NaN (a singular block), so the iterate stays.
+    """
+    gram = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.0]])
+    c = np.array([1.0, -0.5, 0.4])
+    lam_w = np.full((3, 1), 0.1)
+    exact = np.linalg.solve(gram, c - 0.1 * np.array([1.0, -1.0, 1.0]))
+    near = exact + np.array([0.01, -0.02, 0.015])
+    B = np.column_stack([near, [0.8, -0.3, -0.05], near, near, near])
+    target = np.repeat(c[:, None], 5, axis=1)
+    cand = lassodist.solver._support_solve(gram, target, lam_w, B)
+    cand[:, 2] = near + 3 * (exact - near)
+    cand[:, 3] = 2 * near - exact
+    cand[:, 4] = np.nan
+    grad = target - gram @ B
+    cand_grad = target - gram @ cand
+
+    def objective(b):
+        return 0.5 * b @ gram @ b - c @ b + 0.1 * np.abs(b).sum()
+
+    step, step_grad = lassodist.solver._orthant_step(B, grad, cand, cand_grad, lam_w)
+    assert cand[2, 1] > 0 > B[2, 1]
+    assert step.flags.c_contiguous and step_grad.flags.c_contiguous
+    assert step[:, 0].tobytes() == cand[:, 0].tobytes()
+    assert step_grad[:, 0].tobytes() == cand_grad[:, 0].tobytes()
+    t = B[2, 1] / (B[2, 1] - cand[2, 1])
+    assert step[2, 1] == 0.0
+    np.testing.assert_allclose(step[:2, 1], (1 - t) * B[:2, 1] + t * cand[:2, 1], rtol=1e-15)
+    np.testing.assert_array_equal(step[:, [2, 4]], B[:, [2, 4]])
+    np.testing.assert_array_equal(step_grad[:, [2, 4]], grad[:, [2, 4]])
+    np.testing.assert_allclose(step[:, 3], exact, rtol=0, atol=1e-15)
+    for j in range(5):
+        assert objective(step[:, j]) <= objective(B[:, j])
+    np.testing.assert_allclose(step_grad, target - gram @ step, rtol=0, atol=1e-15)
+
+
 def _retiring_wide_batch():
     """A p > n batch (n=20, p=50, 30 rows) whose rows retire at different passes.
 
     Rows 0 and 7 are zero and retire before the first pass, so the working
-    arrays are compacted before any coordinate step.
+    arrays are compacted before any coordinate step.  The whole batch
+    solves in 14 passes; after 10, 15 rows are still unresolved.
     """
     gen = np.random.default_rng(2024)
     X = gen.standard_normal((20, 50))
@@ -377,7 +431,8 @@ def test_memory_order_of_inputs_leaves_results_bit_identical(monkeypatch):
     Every rank-one update must write the partial residuals in place.  An
     update of a copy leaves a pass without its coupling updates, which the
     support solves can hide in the output, so a spy on the BLAS call checks
-    the write itself; the small pass cap turns a stall into a
+    the write itself.  A cap of 10 passes stops the solve while some rows
+    have retired and others have not, and it turns a stall into a
     ConvergenceError instead of a hang.
     """
     calls = []
@@ -390,7 +445,7 @@ def test_memory_order_of_inputs_leaves_results_bit_identical(monkeypatch):
     monkeypatch.setattr(lassodist.solver, "dger", spy)
     spec, xty = _retiring_wide_batch()
     with pytest.raises(ConvergenceError) as info:
-        solve_lasso_gram(spec.gram, xty, spec.weights, spec.lam, max_iter=20)
+        solve_lasso_gram(spec.gram, xty, spec.weights, spec.lam, max_iter=10)
     assert 2 < info.value.draws.size < len(xty)  # rows retire at different passes
 
     ref, ref_worst = solve_lasso_gram(spec.gram, xty, spec.weights, spec.lam, max_iter=200)
@@ -423,6 +478,73 @@ def test_wide_batch_matches_coordinate_descent_oracle(seed):
     for i, y in enumerate(Y):
         xty = spec.X.T @ y / spec.n
         beta_ref, s_ref = coordinate_descent(spec.gram, xty, spec.weights, spec.lam)
+        np.testing.assert_array_equal(fit.active[i], beta_ref != 0)
+        coef, subgrad = _stopping_bounds(spec, beta_ref != 0)
+        np.testing.assert_allclose(fit.beta_hat[i], beta_ref, rtol=0, atol=coef)
+        np.testing.assert_allclose(fit.subgrad[i], s_ref, rtol=0, atol=subgrad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_homotopy_oracle_matches_enumeration(seed):
+    """The path oracle agrees with enumeration (n >= p) or descent (p > n).
+
+    All three are exact up to rounding (descent stops at a defect of
+    1e-14); 1e-9 leaves room for ill-conditioned blocks.
+    """
+    gen = np.random.default_rng(seed)
+    p, n = int(gen.integers(1, 6)), int(gen.integers(1, 9))
+    X = gen.standard_normal((n, p))
+    weights = gen.uniform(0.5, 1.5, p)
+    xty = X.T @ gen.standard_normal(n) / n
+    gram = X.T @ X / n
+    lam = float(np.max(np.abs(xty) / weights) * gen.uniform(0.01, 1.2))
+    beta, subgrad = lasso_homotopy(gram, xty, weights, lam)
+    if n >= p:
+        beta_ref, s_ref = enumerate_lasso(gram, xty, weights, lam)
+    else:  # enumeration needs invertible blocks; p <= 5 keeps descent quick
+        beta_ref, s_ref = coordinate_descent(gram, xty, weights, lam)
+    np.testing.assert_array_equal(beta != 0, beta_ref != 0)
+    np.testing.assert_allclose(beta, beta_ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(subgrad, s_ref, rtol=0, atol=1e-9)
+
+
+def _saturated_wide_batch(seed):
+    """A small p > n batch (n <= 6, p <= 12, 8 rows) at a penalty where supports reach n.
+
+    The penalty is 0.5-5% of the largest lambda_max of the rows, and the
+    weights are not uniform.  On the way there coordinate descent visits
+    supports larger than n, whose blocks are singular or nearly so.
+    """
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(3, 7))
+    p = int(gen.integers(n + 1, 13))
+    X = gen.standard_normal((n, p))
+    weights = gen.uniform(0.5, 1.5, p)
+    Y = X @ (gen.standard_normal(p) * gen.integers(0, 2, p)) + gen.standard_normal((8, n))
+    top = float(np.max(np.abs(Y @ X / n) / weights))
+    return build_problem(X, weights, top * float(gen.uniform(0.005, 0.05))), Y
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(56)
+def test_saturated_wide_batch_matches_homotopy_oracle(seed):
+    """Rows whose supports reach n solve within MAX_ITER and match the path oracle.
+
+    The line search after each support solve must never raise the objective
+    and must run downhill on singular blocks.  In seed 56 two rows reach a
+    five-coordinate support of the n=4 design whose face slopes by only
+    6e-7 along the null vector of its block: coordinate descent alone, or a
+    step toward a candidate that lies uphill, stays there for 100,000
+    passes.  So the oracle follows the solution path exactly instead of
+    running coordinate descent.  Bounds as in _stopping_bounds.
+    """
+    spec, Y = _saturated_wide_batch(seed)
+    fit = solve_lasso(spec, Y)
+    assert fit.kkt_residual <= KKT_TOL
+    for i, y in enumerate(Y):
+        beta_ref, s_ref = lasso_homotopy(spec.gram, spec.X.T @ y / spec.n, spec.weights, spec.lam)
         np.testing.assert_array_equal(fit.active[i], beta_ref != 0)
         coef, subgrad = _stopping_bounds(spec, beta_ref != 0)
         np.testing.assert_allclose(fit.beta_hat[i], beta_ref, rtol=0, atol=coef)
