@@ -309,8 +309,14 @@ def multi_pvalue_study(
 
     Element k agrees bit for bit with a single-target run at
     ``(lambda_stars[k], t_stars[k])`` on the same seed, which is this
-    function with one target.
+    function with one target.  A target penalty that is not finite and
+    positive, or a NaN threshold, is a ConfigError before any sampling.
     """
+    for lam in np.ravel(lambda_stars).tolist():
+        if not 0 < lam < math.inf:
+            raise ConfigError(f"target penalty must be finite and positive, got {lam}")
+    if np.isnan(t_stars).any():
+        raise ConfigError("tail threshold must be a number, got nan")
     if basis is None and spec.p > spec.n:
         basis = spectral_decompose(spec)
     tune_seq, sample_seq = seed_sequence(seed).spawn(2)

@@ -639,10 +639,13 @@ def _row_fault(cells: list[str], p: int) -> str | None:
 def read_chain_csv(path: str | Path) -> Chain:
     """Read a chain written by :func:`write_chain_csv`.
 
-    A malformed file raises DataError; a bad row is named by its 1-based line.
+    An unreadable or malformed file raises DataError; a bad row is named by its line.
     """
-    with open(path, encoding="utf-8") as fh:
-        rows = [line.split(",") for line in map(str.strip, fh) if line]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = [line.split(",") for line in map(str.strip, fh) if line]
+    except OSError as exc:
+        raise DataError(f"cannot read chain CSV {path}: {exc}") from exc
     if not rows:
         raise DataError("chain CSV is empty")
     if len({len(cells) for cells in rows}) != 1:

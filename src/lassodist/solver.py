@@ -4,26 +4,21 @@ The solver works on the Gram scale: it needs only ``C = X'X/n`` and the
 correlation vectors ``X'y/n``, which lets the same core serve the data-space
 problem, the posterior decision draw, and recentred objectives.  One
 response and a block of responses (one row per draw) go through the same
-coordinate descent, vectorised over the rows.  Coordinate descent finds
-each row's support and signs; after every pass one batched linear solve
-gives each row the exact minimizer on them, and each row steps toward it
-as far as its signs allow, if that does not raise its objective.  The
-KKT check alone decides when a row retires.
-
-Each coordinate step updates the partial residuals of every unconverged
-row with one in-place BLAS rank-one update (``dger``).  The working
-arrays hold one column per row in C order, so a coordinate's row of them
-is contiguous and the transposed partial-residual block is the
-F-contiguous array ``dger`` can write in place.  Retiring rows compacts
-them with ``compress``, which keeps C order; boolean column indexing
-would return F order.
+coordinate descent, vectorised over the rows: a coordinate step
+soft-thresholds one product of the coordinate's scaled Gram row with the
+stacked iterates and targets.  Coordinate descent finds each row's
+support and signs; after every pass from the second on, one batched
+linear solve on blocks taken with one gather gives each row the exact
+minimizer on them, and each row steps toward it as far as its signs
+allow, if that does not raise its objective.  The KKT check alone
+decides when a row retires.  The working arrays hold one column per row
+in C order, which ``compress`` keeps, so a coordinate's row is contiguous.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 from .errors import ConfigError, ConvergenceError, DataError, NumericalError
 from .problem import ProblemSpec
@@ -72,12 +67,15 @@ def solve_lasso_gram(
     ``xty`` is one correlation vector (p,) or a block of them (L, p), and
     each row is solved independently.  Cyclic coordinate descent visits
     the coordinates in ascending order, which resolves boundary ties
-    deterministically, and updates every unconverged row at once.  A
+    deterministically, and updates every unconverged row at once: the
+    step on coordinate j soft-thresholds ``(xty_j - C_j b) / C_jj``, with
+    the diagonal entry left out of ``C_j``, which one product with the
+    stacked ``[b; xty]`` gives for every row.  A
     coordinate that is zero and satisfies its KKT condition in every
     unconverged row sits out the pass.
 
     Coordinate descent only has to find the support A and signs s: after
-    each pass but the last, one batched solve of
+    each pass but the first and the last, one batched solve of
     ``C_AA b_A = xty_A - lam W_A s_A`` gives every unconverged row the
     exact minimizer on its current A and s (Osborne, Presnell and Turlach,
     2000).  Each row then steps from its iterate toward that minimizer
@@ -96,12 +94,6 @@ def solve_lasso_gram(
     It is never below 16 rounding units of ``max |xty|``, about where
     rounding in the gradient stalls coordinate descent; at penalties that
     small the snap fails instead.
-
-    Each coordinate step is one in-place BLAS ``dger`` on the (p, L)
-    partial-residual block, built in C order whatever the layout of
-    ``gram`` and ``xty``; should the update ever write a copy instead,
-    the solve raises ``NumericalError`` rather than go on from stale
-    partial residuals.
 
     Returns the minimizers (shaped like ``xty``) and the largest KKT
     residual.
@@ -144,26 +136,25 @@ def solve_lasso_gram(
     floor = 16 * np.finfo(float).eps * top
     tol = np.minimum(kkt_tol, np.maximum(0.5 * S_TOL * lam_w, floor))
     diag = gram.diagonal()
-    # Row j of C without its diagonal entry: the change in every other
-    # coordinate's partial residual per unit move of j.  C order keeps each
-    # row contiguous for the rank-one update.
-    coupling = gram - np.diag(diag)
-    inv_diag = np.divide(1.0, diag, out=np.zeros(p), where=diag > 0).tolist()
-    lw = lam_w[:, 0].tolist()
+    inv_diag = np.divide(1.0, diag, out=np.zeros(p), where=diag > 0)
+    # Row j maps the stacked [B; xty] to coordinate j's partial residual over
+    # C_jj: -C_jk / C_jj for k != j, then 1 / C_jj at xty_j.
+    step_rows = np.hstack([(np.diag(diag) - gram) * inv_diag[:, None], np.diag(inv_diag)])
+    thresh = (lam_w[:, 0] * inv_diag).tolist()
 
     def kkt_defect(B, grad):
         # Per-coordinate KKT defect of every column of B.
         dev = np.abs(grad - lam_w * np.sign(B))
         return np.where(B != 0, dev, np.maximum(dev - lam_w, 0.0))
 
-    # Working arrays hold one column per unconverged row, in C order:
-    # ``compress`` keeps it when rows retire, where boolean column indexing
-    # would return F order and make every row access strided.
-    target = xty.reshape(-1, p).T.copy()
+    # One column per unconverged row, in C order, which ``compress`` keeps;
+    # boolean column indexing would make every row access strided.
+    target = xty.reshape(-1, p).T
+    stack = np.concatenate([np.zeros_like(target), target])
+    B, target = stack[:p], stack[p:]
     out = np.zeros((target.shape[1], p))
     res = np.zeros(len(out))
     rows = np.arange(len(out))
-    B = np.zeros_like(target)
     grad = target
     passes = 0
     while True:
@@ -174,38 +165,28 @@ def solve_lasso_gram(
             res[rows[done]] = defect[:, done].max(axis=0)
             keep = ~done
             rows = rows[keep]
-            target, B, grad, defect = (
-                a.compress(keep, axis=1) for a in (target, B, grad, defect)
-            )
+            stack, grad, defect = (a.compress(keep, axis=1) for a in (stack, grad, defect))
+            B, target = stack[:p], stack[p:]
         if rows.size == 0:
             return out.reshape(xty.shape), float(res.max(initial=0.0))
         if passes == max_iter:
             break
         live = ((B != 0) | (defect > 0)).any(axis=1)
-        # A C-ordered partial has an F-contiguous transpose, which BLAS
-        # ``dger`` updates in place.  On any other layout f2py would update
-        # a copy, silently dropping the pass's coupling updates.
-        partial = np.add(grad, diag[:, None] * B, order="C")
-        block = partial.T
         for j in np.flatnonzero(live).tolist():
-            rho = partial[j]
-            t = lw[j]
-            new = (rho - np.minimum(np.maximum(rho, -t), t)) * inv_diag[j]
-            if dger(-1.0, new - B[j], coupling[j], a=block, overwrite_a=1) is not block:
-                raise NumericalError("BLAS rank-one update did not write in place")
-            B[j] = new
+            rho = step_rows[j] @ stack
+            B[j] = rho - np.minimum(np.maximum(rho, -thresh[j]), thresh[j])
         passes += 1
         grad = target - gram @ B
-        if passes == max_iter:
-            # No support solve after the last pass: a capped solve reports
-            # the rows coordinate descent left unresolved.
+        if passes == 1 or passes == max_iter:
+            # No support solve after the first pass (its support is too rough
+            # to retire many rows) nor after the last, whose rows a capped
+            # solve reports as coordinate descent left them.
             continue
-        # Each row steps toward the exact minimizer on its current support
-        # and signs as far as those signs allow (``_orthant_step``).  A row
-        # that reaches it and passes the KKT check retires at the top of
-        # the loop.
+        # Each row steps toward the exact minimizer on its support and signs
+        # as far as those signs allow, in place in ``stack``; a row that
+        # reaches it and passes the KKT check retires at the top of the loop.
         cand = _support_solve(gram, target, lam_w, B)
-        B, grad = _orthant_step(B, grad, cand, target - gram @ cand, lam_w)
+        B[:], grad = _orthant_step(B, grad, cand, target - gram @ cand, lam_w)
 
     out[rows] = B.T
     stuck = defect.max(axis=0)
@@ -229,20 +210,29 @@ def _support_solve(
     Solves ``C_AA b_A = c_A - lam W_A s_A`` for all columns in one batched
     call: each support is gathered into a (L, k, k) block padded with the
     identity up to the largest |A|.  A column whose block is singular gets
-    NaN, which no step takes.
+    NaN on its support, which no step takes.
+
+    Column i's index row holds its support in ascending order, then the
+    distinct indices p + |A_i| .. p + k - 1 of a k x k identity bordering
+    C, so the block and the right-hand side each come from one gather.
     """
     active = B != 0
-    k = int(active.sum(axis=0).max(initial=0))
+    count = active.sum(axis=0)
+    k = int(count.max(initial=0))
     cand = np.zeros_like(B)
     if k == 0:
         return cand
-    # Active coordinates first, in ascending order, then padding.
-    idx = np.argsort(~active, axis=0, kind="stable")[:k].T
-    valid = np.take_along_axis(active.T, idx, axis=1)
-    pad = ~(valid[:, :, None] & valid[:, None, :])
-    block = np.where(pad, np.eye(k), gram[idx[:, :, None], idx[:, None, :]])
-    cols = np.arange(B.shape[1])[:, None]
-    rhs = np.where(valid, (target - lam_w * np.sign(B)).T[cols, idx], 0.0)
+    p, L = B.shape
+    col, coord = np.nonzero(active.T)
+    pos = np.arange(col.size) - (np.cumsum(count) - count)[col]
+    idx = np.tile(np.arange(p, p + k), (L, 1))
+    idx[col, pos] = coord
+    bordered = np.zeros((p + k, p + k))
+    bordered[:p, :p] = gram
+    bordered[p:, p:] = np.eye(k)
+    block = bordered[idx[:, :, None], idx[:, None, :]]
+    side = np.concatenate([target - lam_w * np.sign(B), np.zeros((k, L))])
+    rhs = side[idx, np.arange(L)[:, None]]
     try:
         sol = np.linalg.solve(block, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
@@ -252,7 +242,7 @@ def _support_solve(
                 sol[i] = np.linalg.solve(block[i], rhs[i])
             except np.linalg.LinAlgError:
                 pass
-    cand.T[cols, idx] = np.where(valid, sol, 0.0)
+    cand.T[col, coord] = sol[col, pos]
     return cand
 
 

@@ -396,6 +396,39 @@ def test_abs_coord_outside_the_design_exits_one(tmp_path, capsys, coord):
         assert f"coordinate {coord} is outside [0, 5)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, targets, named",
+    [
+        ("pvalue-multi", ("--lambda-stars", "0.2,-0.3", "--t-stars", "0.1,0.2"), "-0.3"),
+        ("pvalue-multi", ("--lambda-stars", "0.2,nan", "--t-stars", "0.1,0.2"), "nan"),
+        ("pvalue-multi", ("--lambda-stars", "0.2,0.3", "--t-stars", "0.1,nan"), "nan"),
+        ("pvalue", ("--lambda-star", 0.2, "--t-star", "nan"), "nan"),
+    ],
+)
+def test_invalid_tail_target_exits_one_before_writing(tmp_path, capsys, command, targets, named):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "pv"
+    code = run(
+        command, "--x", data / "X.csv", "--sigma2", 1.0, *targets,
+        "--L", 50, "--l-pilot", 20, "--seed", 1, "--out-dir", out,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"got {named}" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_diagnose_unreadable_chain_path_exits_two(tmp_path, capsys, kind):
+    chain = tmp_path / "missing.csv"
+    if kind == "directory":
+        chain = tmp_path / "somedir"
+        chain.mkdir()
+    assert run("diagnose", "--chain", chain, "--g", "l1", "--out-dir", tmp_path / "d") == 2
+    err = capsys.readouterr().err
+    assert f"cannot read chain CSV {chain}" in err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code = run(
         "sample-joint",
