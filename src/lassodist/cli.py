@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .density import Gaussian, StudentT
-from .errors import ConfigError, DataError, LassodistError
+from .errors import ConfigError, DataError, LassodistError, check_positive
 from .estimation import (
     acceptance_band_report,
     chain_diagnostics,
@@ -135,8 +135,7 @@ def _resolve_center(args: argparse.Namespace, spec, y: np.ndarray) -> np.ndarray
 
 def _resolve_sigma2(args: argparse.Namespace, spec, y: np.ndarray, center: np.ndarray) -> float:
     if args.sigma2 is not None:
-        if args.sigma2 <= 0:
-            raise ConfigError("noise variance must be positive")
+        check_positive("--sigma2 (noise variance)", args.sigma2)
         return float(args.sigma2)
     if getattr(args, "estimate_sigma2", False):
         return estimate_sigma2(spec, y, center)
@@ -247,7 +246,6 @@ def _add_sampler_args(p: _Parser) -> None:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     X, y, beta0 = synthetic_dataset(
         n=args.n,
         p=args.p,
@@ -257,6 +255,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         amplitude=args.amplitude,
         seed=args.seed,
     )
+    out = _out_dir(args)
     _save_array(out / "X.csv", X)
     _save_array(out / "y.csv", y)
     _save_array(out / "beta0.csv", beta0)

@@ -13,10 +13,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.special import gammaincc, gammaln, logsumexp
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_positive
 from .problem import ProblemSpec, SpectralBasis, log_det_jacobian
 
 __all__ = [
@@ -81,16 +79,6 @@ class AugmentedState:
         return out
 
 
-def state_from_arrays(theta: np.ndarray, active_mask: np.ndarray) -> AugmentedState:
-    """Assemble a state from the mixed coordinate vector and active mask."""
-    active = np.nonzero(active_mask)[0]
-    return AugmentedState(
-        active=active,
-        b_active=np.asarray(theta)[active_mask].copy(),
-        s_inactive=np.asarray(theta)[~active_mask].copy(),
-    )
-
-
 def validate_state(state: AugmentedState, p: int) -> None:
     """Check membership in the augmented space for a p-dimensional problem."""
     if state.dimension != p:
@@ -149,6 +137,8 @@ ErrorModel = Gaussian | StudentT | EmpiricalElliptical
 
 def log_unit_ball_volume(dim: int) -> float:
     """log volume of the unit ball in R^dim."""
+    from scipy.special import gammaln
+
     return 0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim + 1.0)
 
 
@@ -156,6 +146,8 @@ def radial_log_norm(
     edges: np.ndarray, counts: np.ndarray, dim: int, tail_slope: float, tail_intercept: float
 ) -> float:
     """Log normalizing constant of the piecewise radial density in R^dim."""
+    from scipy.special import gammaincc, gammaln, logsumexp
+
     log_cp = log_unit_ball_volume(dim)
     interior = log_cp + math.log(float(np.sum(counts)))
     if not math.isfinite(tail_slope) or tail_slope >= 0:
@@ -207,15 +199,16 @@ def qform_log_density(
     the returned function only adds the q term.
     """
     if isinstance(model, Gaussian):
-        if model.sigma2 <= 0:
-            raise ConfigError("Gaussian variance must be positive")
+        check_positive("Gaussian variance sigma2", model.sigma2)
         sigma2 = model.sigma2
         const = float(-0.5 * dim * math.log(2.0 * math.pi * sigma2 / n) - 0.5 * log_det)
         half_n = 0.5 * n
         return lambda q: const - half_n * q / sigma2
     if isinstance(model, StudentT):
-        if model.dof <= 0 or model.scale <= 0:
-            raise ConfigError("StudentT dof and scale must be positive")
+        check_positive("StudentT dof", model.dof)
+        check_positive("StudentT scale", model.scale)
+        from scipy.special import gammaln
+
         nu = float(model.dof)
         scale = model.scale
         log_det_scale = dim * math.log(scale / n) + log_det
@@ -362,6 +355,8 @@ def inactive_null_basis(
     target_dim = spec.n - n_active
     if target_dim < 0:
         raise ConfigError("active set larger than n has no constrained density")
+    from scipy.linalg import null_space
+
     M = basis.null_basis[inactive, :].T * spec.weights[inactive]
     B = null_space(M)
     if B.shape != (inactive.size, target_dim):
@@ -449,12 +444,11 @@ def sample_errors(
 ) -> np.ndarray:
     """Draw ``size`` noise vectors of length n from the error model."""
     if isinstance(model, Gaussian):
-        if model.sigma2 < 0:
-            raise ConfigError("Gaussian variance must be nonnegative to sample")
+        check_positive("Gaussian variance sigma2", model.sigma2, zero_ok=True)
         return math.sqrt(model.sigma2) * rng.standard_normal((size, n))
     if isinstance(model, StudentT):
-        if model.dof <= 0 or model.scale <= 0:
-            raise ConfigError("StudentT dof and scale must be positive")
+        check_positive("StudentT dof", model.dof)
+        check_positive("StudentT scale", model.scale)
         z = rng.standard_normal((size, n))
         g = rng.chisquare(model.dof, size=size) / model.dof
         return math.sqrt(model.scale) * z / np.sqrt(g)[:, None]

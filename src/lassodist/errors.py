@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one parameter check."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -57,3 +59,14 @@ class ConvergenceError(NumericalError):
     def __str__(self) -> str:
         text = super().__str__()
         return text if self.seed is None else f"{text} (seed {self.seed})"
+
+
+def check_positive(name: str, value: float, *, zero_ok: bool = False) -> None:
+    """Raise ``ConfigError`` naming ``name`` unless ``value`` is finite and positive.
+
+    ``zero_ok`` also admits 0.  NaN fails every comparison, so a bare
+    ``value <= 0`` test would let it through.
+    """
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        bound = "nonnegative" if zero_ok else "positive"
+        raise ConfigError(f"{name} must be finite and {bound}, got {value}")

@@ -12,11 +12,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgWarning as scipy_linalg_warning
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .density import EmpiricalElliptical, Gaussian, StudentT, _assemble_jacobian, radial_log_norm
-from .errors import ConfigError, ConvergenceError, DataError, NumericalError
+from .errors import ConfigError, ConvergenceError, DataError, NumericalError, check_positive
 from .importance import _statistic_values
 from .problem import ProblemSpec
 from .rng import Seed, generator
@@ -110,6 +108,8 @@ def fit_elliptical_model(
     if n_samples < 1:
         raise ConfigError("need at least one bootstrap sample")
 
+    from scipy.linalg import solve_triangular
+
     rng = generator(seed)
     noise = rng.choice(resid, size=(n_samples, spec.n), replace=True)
     scores = noise @ spec.X / spec.n
@@ -171,11 +171,13 @@ def fit_elliptical_model(
 
 
 def _checked_lu(mat: np.ndarray, what: str):
+    from scipy.linalg import LinAlgWarning, lu_factor
+
     with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy_linalg_warning)
+        warnings.simplefilter("error", LinAlgWarning)
         try:
             fac = lu_factor(mat)
-        except (ValueError, scipy_linalg_warning) as exc:
+        except (ValueError, LinAlgWarning) as exc:
             raise NumericalError(f"{what} is singular") from exc
     if np.any(np.abs(np.diag(fac[0])) == 0.0):
         raise NumericalError(f"{what} is singular")
@@ -184,8 +186,7 @@ def _checked_lu(mat: np.ndarray, what: str):
 
 def threshold_estimator(beta_hat: np.ndarray, b_th: float) -> np.ndarray:
     """Hard-threshold the estimate: keep entries strictly above ``b_th``."""
-    if b_th <= 0:
-        raise ConfigError("threshold must be positive")
+    check_positive("threshold b_th", b_th)
     beta_hat = np.asarray(beta_hat, dtype=float)
     return np.where(np.abs(beta_hat) > b_th, beta_hat, 0.0)
 
@@ -204,8 +205,7 @@ def sign_consistency_prob(
     draw costs one linear solve rather than an optimization.  Valid in
     both regimes as long as the active Gram block is nonsingular.
     """
-    if sigma2 < 0:
-        raise ConfigError("noise variance must be nonnegative")
+    check_positive("noise variance sigma2", sigma2, zero_ok=True)
     if L < 1:
         raise ConfigError("need at least one draw")
     beta0 = np.asarray(beta0, dtype=float)
@@ -217,6 +217,8 @@ def sign_consistency_prob(
     signs = np.sign(beta0[support])
     inactive = np.nonzero(beta0 == 0)[0]
     k = support.size
+
+    from scipy.linalg import lu_solve
 
     # Affine center of the mapped score, active block then inactive block.
     mu = np.zeros(spec.p)
@@ -292,17 +294,18 @@ def posterior_decision_sample(
     rng = generator(seed)
     z = rng.standard_normal((L, spec.p))
     if isinstance(model, Gaussian):
-        if model.sigma2 <= 0:
-            raise ConfigError("Gaussian variance must be positive")
+        check_positive("Gaussian variance sigma2", model.sigma2)
         scale = math.sqrt(model.sigma2 / spec.n)
         mix = np.ones(L)
     elif isinstance(model, StudentT):
-        if model.dof <= 0 or model.scale <= 0:
-            raise ConfigError("StudentT dof and scale must be positive")
+        check_positive("StudentT dof", model.dof)
+        check_positive("StudentT scale", model.scale)
         scale = math.sqrt(model.scale / spec.n)
         mix = 1.0 / np.sqrt(rng.chisquare(model.dof, size=L) / model.dof)
     else:
         raise ConfigError("posterior draws support Gaussian or StudentT models")
+
+    from scipy.linalg import solve_triangular
 
     spread = solve_triangular(chol.T, z.T, lower=False).T
     draws = ols + scale * spread * mix[:, None]
@@ -439,6 +442,7 @@ def chain_diagnostics(
     (|rho| < 2/sqrt(N)); the inflation factor, effective sample size and
     relative efficiency are derived from the truncated sum.
     """
+    check_positive("cost_ratio", cost_ratio)
     if isinstance(chain, np.ndarray):
         series = np.asarray(chain, dtype=float)
     elif g is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density import Gaussian, _score_parts, score_qform
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_positive
 from .problem import ProblemSpec, SpectralBasis, spectral_decompose
 from .rng import Seed, generator, seed_sequence
 from .samplers import Chain, direct_sample
@@ -79,10 +79,10 @@ def tune_trial(
     penalty thresholds of ``l_pilot`` pure-noise pilot responses, which
     puts the all-zero model near 25% trial probability.
     """
-    if sigma2_0 <= 0:
-        raise ConfigError("null variance must be positive")
-    if m_dagger <= 0 or l_pilot < 1:
-        raise ConfigError("need a positive multiplier and at least one pilot draw")
+    check_positive("null variance sigma2_0", sigma2_0)
+    check_positive("trial variance multiplier m_dagger", m_dagger)
+    if l_pilot < 1:
+        raise ConfigError("need at least one pilot draw")
     sigma2_dagger = m_dagger * sigma2_0
     pilots = math.sqrt(sigma2_dagger) * generator(seed).standard_normal((l_pilot, spec.n))
     thresholds = lambda_max(spec, pilots)

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_positive
 
 __all__ = [
     "ProblemSpec",
@@ -69,7 +68,7 @@ class ProblemSpec:
     @cached_property
     def gram_inv(self) -> np.ndarray:
         """Inverse Gram matrix, via the cached Cholesky factor."""
-        inv = cho_solve((self.gram_cholesky, True), np.eye(self.p))
+        inv = self.gram_solve(np.eye(self.p))
         return (inv + inv.T) / 2.0
 
     @cached_property
@@ -78,6 +77,8 @@ class ProblemSpec:
 
     def gram_solve(self, u: np.ndarray) -> np.ndarray:
         """Solve ``gram @ x = u`` (vector or stacked columns)."""
+        from scipy.linalg import cho_solve
+
         return cho_solve((self.gram_cholesky, True), u)
 
 
@@ -237,8 +238,7 @@ def synthetic_dataset(
         raise ConfigError("n and p must be positive")
     if not -1.0 / max(p - 1, 1) < rho < 1.0:
         raise ConfigError("rho outside the positive-definite range")
-    if sigma2 < 0:
-        raise ConfigError("noise variance must be nonnegative")
+    check_positive("noise variance sigma2", sigma2, zero_ok=True)
     if signal is None:
         signal = min(10, p)
     if not 0 <= signal <= p:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .density import (
     AugmentedState,
@@ -137,6 +136,8 @@ def default_sampler_config(
     p = spec.p
     k = K if K is not None else math.ceil(p / 5)
     if beta_ref is not None and spec.p <= spec.n:
+        from scipy.special import ndtr
+
         zeta = np.sqrt(sigma2_hat * np.diag(spec.gram_inv) / spec.n)
         omega = ndtr(-np.abs(np.asarray(beta_ref, dtype=float)) / zeta)
         omega0 = float(omega.sum()) / (5.0 * p)
@@ -162,10 +163,11 @@ def _validate_config(config: SamplerConfig, p: int) -> None:
         raise ConfigError(f"K must be in [1, {p}], got {config.K}")
     alpha = np.asarray(config.alpha, dtype=float)
     tau = np.asarray(config.tau, dtype=float)
-    if alpha.shape != (p,) or np.any(alpha <= 0):
-        raise ConfigError("alpha must be a p-vector of positive selection weights")
-    if tau.shape != (p,) or np.any(tau <= 0):
-        raise ConfigError("tau must be a p-vector of positive proposal scales")
+    # Written so that NaN fails: it compares False with everything.
+    if alpha.shape != (p,) or not np.all((alpha > 0) & (alpha < np.inf)):
+        raise ConfigError("alpha must be a p-vector of finite positive selection weights")
+    if tau.shape != (p,) or not np.all((tau > 0) & (tau < np.inf)):
+        raise ConfigError("tau must be a p-vector of finite positive proposal scales")
     if config.iters < 1 or config.burn_in < 0 or config.burn_in >= config.iters:
         raise ConfigError("need 0 <= burn_in < iters")
 

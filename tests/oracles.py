@@ -13,6 +13,18 @@ import math
 import numpy as np
 from scipy.stats import norm
 
+from lassodist.density import AugmentedState
+
+
+def state_from_arrays(theta: np.ndarray, active_mask: np.ndarray) -> AugmentedState:
+    """Assemble a state from a chain row: mixed coordinate vector and active mask."""
+    active = np.nonzero(active_mask)[0]
+    return AugmentedState(
+        active=active,
+        b_active=np.asarray(theta)[active_mask].copy(),
+        s_inactive=np.asarray(theta)[~active_mask].copy(),
+    )
+
 
 def enumerate_lasso(
     gram: np.ndarray, xty: np.ndarray, weights: np.ndarray, lam: float

@@ -38,7 +38,7 @@ from lassodist import (
     solve_lasso,
     spectral_decompose,
 )
-from lassodist.density import log_det_rowspace_jacobian, state_from_arrays
+from lassodist.density import log_det_rowspace_jacobian
 from lassodist.samplers import _MhEngine
 
 from oracles import (
@@ -47,6 +47,7 @@ from oracles import (
     cell_probability,
     mixed_density_integral,
     split_normal_cdf,
+    state_from_arrays,
 )
 
 

@@ -418,6 +418,79 @@ def test_invalid_tail_target_exits_one_before_writing(tmp_path, capsys, command,
     assert not any(out.iterdir())
 
 
+SHORT_CHAIN = ("--iters", 40, "--burnin", 10)
+
+
+@pytest.mark.parametrize(
+    "command, extra, named",
+    [
+        ("sample-joint", ("--method", "mls", "--sigma2", "nan", *SHORT_CHAIN), "--sigma2"),
+        ("sample-joint", ("--method", "mls", "--sigma2", "inf", *SHORT_CHAIN), "--sigma2"),
+        ("sample-joint", ("--method", "direct", "--sigma2", "nan", *SHORT_CHAIN), "--sigma2"),
+        ("sample-cond", ("--active", "0", "--sigma2", "nan", *SHORT_CHAIN), "--sigma2"),
+        ("sample-joint", ("--model", "studentt", "--dof", "nan", "--sigma2", 1.0, *SHORT_CHAIN),
+         "dof"),
+        ("sample-cond", ("--active", "0", "--model", "studentt", "--dof", "inf",
+                         "--sigma2", 1.0, *SHORT_CHAIN), "dof"),
+        ("posterior-check", ("--L", 20, "--sigma2", "inf"), "--sigma2"),
+    ],
+)
+def test_nonfinite_noise_parameter_exits_one_before_writing(
+    tmp_path, capsys, command, extra, named
+):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "out"
+    code = run(
+        command, "--x", data / "X.csv", "--y", data / "y.csv", "--lambda", 0.3, *extra,
+        "--seed", 1, "--out-dir", out,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err and "must be finite" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("sigma2", ["nan", "inf", -1.0])
+def test_gen_data_and_pvalue_reject_a_bad_noise_variance(tmp_path, capsys, sigma2):
+    out = tmp_path / "gen"
+    assert run("gen-data", "--n", 20, "--p", 5, "--seed", 3, "--sigma2", sigma2,
+               "--out-dir", out) == 1
+    assert "sigma2" in capsys.readouterr().err
+    assert not out.exists()
+    data = gen_dataset(tmp_path)
+    pv = tmp_path / "pv"
+    assert run("pvalue", "--x", data / "X.csv", "--sigma2", sigma2, "--lambda-star", 0.5,
+               "--t-star", 0.4, "--L", 50, "--l-pilot", 20, "--seed", 1, "--out-dir", pv) == 1
+    assert "sigma2" in capsys.readouterr().err
+    assert not any(pv.iterdir())
+
+
+def test_gen_data_keeps_zero_noise_variance(tmp_path):
+    out = tmp_path / "gen"
+    assert run("gen-data", "--n", 20, "--p", 5, "--seed", 3, "--sigma2", 0.0,
+               "--out-dir", out) == 0
+    X = np.loadtxt(out / "X.csv", delimiter=",")
+    beta0 = np.loadtxt(out / "beta0.csv", delimiter=",")
+    np.testing.assert_allclose(np.loadtxt(out / "y.csv", delimiter=","), X @ beta0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf", -1.0, 0.0])
+def test_diagnose_rejects_a_bad_cost_ratio_before_writing(tmp_path, capsys, ratio):
+    data = gen_dataset(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample-joint", "--x", data / "X.csv", "--y", data / "y.csv", "--lambda", 0.3,
+        "--sigma2", 1.0, "--method", "direct", "--iters", 60, "--seed", 7,
+        "--out-dir", run_dir,
+    ) == 0
+    capsys.readouterr()
+    out = tmp_path / "diag"
+    assert run("diagnose", "--chain", run_dir / "chain.csv", "--cost-ratio", ratio,
+               "--out-dir", out) == 1
+    assert "cost_ratio must be finite and positive" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_diagnose_unreadable_chain_path_exits_two(tmp_path, capsys, kind):
     chain = tmp_path / "missing.csv"

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import multivariate_normal, ortho_group
 
 from lassodist import (
+    ConfigError,
     DataError,
     Gaussian,
     StudentT,
@@ -24,17 +25,18 @@ from lassodist import (
 from lassodist.density import (
     AugmentedState,
     log_det_rowspace_jacobian,
+    qform_log_density,
     radial_log_norm,
     radial_log_pdf,
+    sample_errors,
     score_qform,
     scores,
-    state_from_arrays,
     validate_state,
 )
 from lassodist.density import EmpiricalElliptical
 
 from conftest import random_instance
-from oracles import assemble_rowspace_jacobian
+from oracles import assemble_rowspace_jacobian, state_from_arrays
 
 
 def make_state(active, b, s_inactive):
@@ -279,3 +281,27 @@ def test_radial_model_single_bin_is_flat():
     c3 = math.pi**1.5 / math.gamma(2.5)
     mass = c3 * 2.0**3 * math.exp(v1)
     assert mass == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "model, named",
+    [
+        (Gaussian(math.nan), "sigma2"),
+        (Gaussian(math.inf), "sigma2"),
+        (StudentT(dof=math.nan, scale=1.0), "dof"),
+        (StudentT(dof=math.inf, scale=1.0), "dof"),
+        (StudentT(dof=4.0, scale=math.nan), "scale"),
+    ],
+)
+def test_nonfinite_model_parameters_are_config_errors(model, named):
+    """NaN fails every comparison, so a bare ``<= 0`` check let it through."""
+    with pytest.raises(ConfigError, match=named):
+        qform_log_density(model, 3, 0.0, 10)
+    with pytest.raises(ConfigError, match=named):
+        sample_errors(model, 10, 2, np.random.default_rng(0))
+
+
+def test_zero_gaussian_variance_samples_zero_noise():
+    assert not np.any(sample_errors(Gaussian(0.0), 4, 3, np.random.default_rng(0)))
+    with pytest.raises(ConfigError, match="sigma2"):
+        qform_log_density(Gaussian(0.0), 3, 0.0, 10)

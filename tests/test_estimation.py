@@ -32,11 +32,10 @@ from lassodist import (
     threshold_estimator,
     validate_state,
 )
-from lassodist.density import state_from_arrays
 from lassodist.rng import generator
 from lassodist.samplers import active_bitmask
 
-from oracles import ar1_series, cell_probability, soft_threshold
+from oracles import ar1_series, cell_probability, soft_threshold, state_from_arrays
 
 
 def make_chain(thetas, active, **kw):
@@ -272,6 +271,31 @@ def test_posterior_guards(wide_spec, small_spec):
         )
     with pytest.raises(ConfigError):
         posterior_decision_sample(small_spec, np.zeros(small_spec.n), Gaussian(0.0), 10, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_noise_parameters_are_config_errors(small_spec, bad):
+    y = np.zeros(small_spec.n)
+    with pytest.raises(ConfigError, match="sigma2"):
+        posterior_decision_sample(small_spec, y, Gaussian(bad), 10, 0)
+    with pytest.raises(ConfigError, match="dof"):
+        posterior_decision_sample(small_spec, y, StudentT(dof=bad, scale=1.0), 10, 0)
+    with pytest.raises(ConfigError, match="sigma2"):
+        sign_consistency_prob(small_spec, np.zeros(small_spec.p), bad, 10, 0)
+    assert sign_consistency_prob(small_spec, np.zeros(small_spec.p), 0.0, 10, 0) == 1.0
+
+
+@pytest.mark.parametrize("b_th", [math.nan, math.inf])
+def test_threshold_estimator_rejects_a_nonfinite_threshold(b_th):
+    with pytest.raises(ConfigError, match="b_th"):
+        threshold_estimator(np.array([0.5, -0.2]), b_th)
+
+
+@pytest.mark.parametrize("ratio", [math.nan, math.inf, -1.0, 0.0])
+def test_diagnostics_reject_a_bad_cost_ratio(ratio):
+    series = ar1_series(200, 0.5, np.random.default_rng(3))
+    with pytest.raises(ConfigError, match="cost_ratio"):
+        chain_diagnostics(series, cost_ratio=ratio)
 
 
 def test_recentered_minimizer_identity_gram(identity_spec):

@@ -27,11 +27,11 @@ from lassodist import (
     tune_trial,
 )
 from lassodist import importance as imp
-from lassodist.density import AugmentedState, score_qform, scores, state_from_arrays
+from lassodist.density import AugmentedState, score_qform, scores
 from lassodist.importance import TrialSpec, chain_log_weights, pool_results, sample_trial
 from lassodist.rng import generator
 
-from oracles import rowspace_qform, tail_estimate
+from oracles import rowspace_qform, state_from_arrays, tail_estimate
 
 
 def make_state(active, b, s_inactive):
@@ -67,6 +67,14 @@ def test_tune_trial_block_matches_pilot_loop(small_spec):
 def test_tune_trial_rejects_zero_variance(identity_spec):
     with pytest.raises(ConfigError):
         tune_trial(identity_spec, sigma2_0=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tune_trial_rejects_nonfinite_variance_and_multiplier(identity_spec, bad):
+    with pytest.raises(ConfigError, match="sigma2_0"):
+        tune_trial(identity_spec, sigma2_0=bad)
+    with pytest.raises(ConfigError, match="m_dagger"):
+        tune_trial(identity_spec, sigma2_0=1.0, m_dagger=bad)
 
 
 def test_tune_trial_flags_zero_penalty():

@@ -115,6 +115,12 @@ def test_gram_cholesky_rejects_singular():
         spec.gram_cholesky
 
 
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf, -1.0])
+def test_synthetic_dataset_rejects_a_bad_noise_variance(sigma2):
+    with pytest.raises(ConfigError, match="sigma2"):
+        synthetic_dataset(10, 3, sigma2=sigma2)
+
+
 def test_synthetic_dataset_reproducible_and_shaped():
     X1, y1, b1 = synthetic_dataset(40, 6, rho=0.25, sigma2=2.0, signal=4, seed=9)
     X2, y2, b2 = synthetic_dataset(40, 6, rho=0.25, sigma2=2.0, signal=4, seed=9)

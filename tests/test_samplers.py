@@ -34,7 +34,6 @@ from lassodist.density import (
     radial_log_norm,
     radial_log_pdf,
     sample_errors,
-    state_from_arrays,
     validate_state,
 )
 from lassodist.rng import generator, seed_sequence
@@ -42,7 +41,7 @@ from lassodist.problem import synthetic_dataset
 from lassodist.samplers import _CAP_SLACK, SamplerConfig, _MhEngine
 from lassodist.solver import lambda_max
 
-from oracles import assemble_jacobian, cell_probability, state_score
+from oracles import assemble_jacobian, cell_probability, state_score, state_from_arrays
 
 
 def identity_problem(lam=0.5, n=2):
@@ -140,6 +139,17 @@ def test_mls_states_remain_valid(small_spec):
     chain = mh_sample(small_spec, np.zeros(5), Gaussian(1.0), config)
     for i in range(0, len(chain), 37):
         validate_state(state_from_arrays(chain.thetas[i], chain.active[i]), small_spec.p)
+
+
+@pytest.mark.parametrize("sigma2_hat", [math.nan, math.inf])
+def test_nonfinite_sigma2_hat_config_is_rejected(small_spec, sigma2_hat):
+    """A NaN tuning used to pass the ``<= 0`` checks and reject every move."""
+    beta = np.array([0.5, 0.0, -0.3, 0.0, 0.2])
+    config = default_sampler_config(
+        small_spec, 1, iters=20, burn_in=5, beta_ref=beta, sigma2_hat=sigma2_hat
+    )
+    with pytest.raises(ConfigError, match="alpha|tau"):
+        mh_sample(small_spec, beta, Gaussian(1.0), config)
 
 
 def test_sampler_config_validation(identity_spec):
