@@ -101,6 +101,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[str])
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """Create --out-dir; called after every check, just before the first write."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -265,38 +266,39 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample_joint(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     X = _load_matrix(args.x)
     y = _load_vector(args.y)
     weights = _load_vector(args.weights) if args.weights else 1.0
     lam = _resolve_lambda(args, X, weights, y)
+    if lam is None and args.lambda_grid is None:
+        raise ConfigError("provide --lambda or --lambda-frac (or just --lambda-grid)")
 
-    outputs = []
     if args.lambda_grid is not None:
         probe = build_problem(X, weights, 1.0)
         grid = lambda_grid(probe, y, num=args.lambda_grid, min_frac=args.lambda_min_frac)
+    if lam is not None:
+        spec = build_problem(X, weights, lam)
+        center, sigma2, model, run_seq = _resolve_law(args, spec, y)
+        if args.method == "direct":
+            chain = direct_sample(spec, center, model, args.iters, run_seq)
+        else:
+            config = _sampler_config(args, spec, run_seq, center, sigma2)
+            chain = mh_sample(spec, center, model, config)
+
+    out = _out_dir(args)
+    outputs = []
+    if args.lambda_grid is not None:
         _save_array(out / "lambda_grid.csv", grid)
         outputs.append("lambda_grid.csv")
         if lam is None:
             _write_manifest(out, args, outputs)
             print(f"wrote lambda_grid.csv ({args.lambda_grid} values) to {out}")
             return 0
-    if lam is None:
-        raise ConfigError("provide --lambda or --lambda-frac (or just --lambda-grid)")
-
-    spec = build_problem(X, weights, lam)
-    center, sigma2, model, run_seq = _resolve_law(args, spec, y)
-    if args.method == "direct":
-        chain = direct_sample(spec, center, model, args.iters, run_seq)
-    else:
-        config = _sampler_config(args, spec, run_seq, center, sigma2)
-        chain = mh_sample(spec, center, model, config)
     echo = {"method": args.method, "iters": args.iters, "burnin": args.burnin}
     return _write_chain_outputs(out, args, chain, lam, sigma2, echo, outputs)
 
 
 def _cmd_sample_cond(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     X = _load_matrix(args.x)
     y = _load_vector(args.y)
     weights = _load_vector(args.weights) if args.weights else 1.0
@@ -317,7 +319,7 @@ def _cmd_sample_cond(args: argparse.Namespace) -> int:
     config = _sampler_config(args, spec, run_seq, center, sigma2)
     chain = conditional_mh_sample(spec, center, model, active, config)
     echo = {"active": active.tolist(), "iters": args.iters, "burnin": args.burnin}
-    return _write_chain_outputs(out, args, chain, lam, sigma2, echo)
+    return _write_chain_outputs(_out_dir(args), args, chain, lam, sigma2, echo)
 
 
 def _null_beta(args: argparse.Namespace, p: int) -> np.ndarray:
@@ -374,7 +376,6 @@ def _pvalue_worker(payload: dict):
 def _cmd_pvalue(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
-    out = _out_dir(args)
     X = _load_matrix(args.x)
     weights = _load_vector(args.weights) if args.weights else 1.0
     spec = build_problem(X, weights, args.lambda_star)
@@ -420,6 +421,7 @@ def _cmd_pvalue(args: argparse.Namespace) -> int:
             replicates=args.replicates,
         )
     payload = _pvalue_payload(res, args, {"replicates": args.replicates})
+    out = _out_dir(args)
     _write_json(out / "pvalue.json", payload)
     _write_manifest(out, args, ["pvalue.json"])
     print(f"estimate {res.estimate:.6g} (ess {res.ess:.1f}); wrote pvalue.json to {out}")
@@ -427,7 +429,6 @@ def _cmd_pvalue(args: argparse.Namespace) -> int:
 
 
 def _cmd_pvalue_multi(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     X = _load_matrix(args.x)
     weights = _load_vector(args.weights) if args.weights else 1.0
     try:
@@ -473,6 +474,7 @@ def _cmd_pvalue_multi(args: argparse.Namespace) -> int:
     }
     if args.stat == "abs-coord":
         payload["coord"] = args.coord
+    out = _out_dir(args)
     _write_json(out / "pvalue_multi.json", payload)
     _write_manifest(out, args, ["pvalue_multi.json"])
     print(f"wrote pvalue_multi.json ({lambda_stars.size} targets) to {out}")
@@ -480,7 +482,6 @@ def _cmd_pvalue_multi(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     chain = read_chain_csv(args.chain)
     if args.meta:
         try:
@@ -494,14 +495,16 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         }
 
     statistic = coefficient_statistic(args.g, args.coord, p=chain.p)
-    # Computed before any output is written, so a bad --hist-coord or
-    # --hist-bins leaves the output directory without partial results.
+    # Everything is computed before --out-dir is created, so a bad
+    # --hist-coord or --hist-bins leaves no partial results.
     histogram = (
         None if args.hist_coord is None
         else coefficient_histogram(chain, args.hist_coord, args.hist_bins)
     )
     report = chain_diagnostics(chain, statistic, cost_ratio=args.cost_ratio)
     notes = acceptance_band_report(chain) if args.meta else []
+    stats = summarize_chain(chain)
+    out = _out_dir(args)
     _write_json(
         out / "diagnostics.json",
         {
@@ -516,7 +519,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             "acceptance_notes": notes,
         },
     )
-    stats = summarize_chain(chain)
     _write_json(
         out / "summary.json",
         {
@@ -541,7 +543,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_posterior_check(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     X = _load_matrix(args.x)
     y = _load_vector(args.y)
     weights = _load_vector(args.weights) if args.weights else 1.0
@@ -562,7 +563,7 @@ def _cmd_posterior_check(args: argparse.Namespace) -> int:
         spec, y, model, args.L, args.seed, lam=args.decision_lambda
     )
     echo = {"L": args.L, "decision_lambda": args.decision_lambda}
-    return _write_chain_outputs(out, args, chain, lam, sigma2, echo, noun="draws")
+    return _write_chain_outputs(_out_dir(args), args, chain, lam, sigma2, echo, noun="draws")
 
 
 @functools.cache

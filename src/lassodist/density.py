@@ -207,14 +207,12 @@ def qform_log_density(
     if isinstance(model, StudentT):
         check_positive("StudentT dof", model.dof)
         check_positive("StudentT scale", model.scale)
-        from scipy.special import gammaln
-
         nu = float(model.dof)
         scale = model.scale
         log_det_scale = dim * math.log(scale / n) + log_det
         const = float(
-            gammaln(0.5 * (nu + dim))
-            - gammaln(0.5 * nu)
+            math.lgamma(0.5 * (nu + dim))
+            - math.lgamma(0.5 * nu)
             - 0.5 * dim * math.log(nu * math.pi)
             - 0.5 * log_det_scale
         )

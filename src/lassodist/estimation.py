@@ -108,13 +108,11 @@ def fit_elliptical_model(
     if n_samples < 1:
         raise ConfigError("need at least one bootstrap sample")
 
-    from scipy.linalg import solve_triangular
-
     rng = generator(seed)
     noise = rng.choice(resid, size=(n_samples, spec.n), replace=True)
     scores = noise @ spec.X / spec.n
     # whitened radius: ||L^{-1} u|| with C = L L'
-    white = solve_triangular(spec.gram_cholesky, scores.T, lower=True)
+    white = np.linalg.solve(spec.gram_cholesky, scores.T)
     radii = np.sqrt(np.sum(white * white, axis=0))
 
     if np.isscalar(bins) or np.ndim(bins) == 0:
@@ -305,9 +303,7 @@ def posterior_decision_sample(
     else:
         raise ConfigError("posterior draws support Gaussian or StudentT models")
 
-    from scipy.linalg import solve_triangular
-
-    spread = solve_triangular(chol.T, z.T, lower=False).T
+    spread = np.linalg.solve(chol.T, z.T).T
     draws = ols + scale * spread * mix[:, None]
 
     if lam_eff == 0.0:

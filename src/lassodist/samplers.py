@@ -115,6 +115,11 @@ class Chain:
         return self.accept_counts.get(kind, 0) / tried if tried else math.nan
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a 1-D array, erfc(-x / sqrt 2) / 2 (scipy's ``ndtr``)."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+
+
 def default_sampler_config(
     spec: ProblemSpec,
     seed: int,
@@ -136,10 +141,8 @@ def default_sampler_config(
     p = spec.p
     k = K if K is not None else math.ceil(p / 5)
     if beta_ref is not None and spec.p <= spec.n:
-        from scipy.special import ndtr
-
         zeta = np.sqrt(sigma2_hat * np.diag(spec.gram_inv) / spec.n)
-        omega = ndtr(-np.abs(np.asarray(beta_ref, dtype=float)) / zeta)
+        omega = _normal_cdf(-np.abs(np.asarray(beta_ref, dtype=float)) / zeta)
         omega0 = float(omega.sum()) / (5.0 * p)
         alpha = omega + omega0
         tau = 2.0 * zeta

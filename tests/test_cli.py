@@ -415,7 +415,7 @@ def test_invalid_tail_target_exits_one_before_writing(tmp_path, capsys, command,
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err and f"got {named}" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 SHORT_CHAIN = ("--iters", 40, "--burnin", 10)
@@ -447,7 +447,7 @@ def test_nonfinite_noise_parameter_exits_one_before_writing(
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err and named in err and "must be finite" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma2", ["nan", "inf", -1.0])
@@ -462,7 +462,7 @@ def test_gen_data_and_pvalue_reject_a_bad_noise_variance(tmp_path, capsys, sigma
     assert run("pvalue", "--x", data / "X.csv", "--sigma2", sigma2, "--lambda-star", 0.5,
                "--t-star", 0.4, "--L", 50, "--l-pilot", 20, "--seed", 1, "--out-dir", pv) == 1
     assert "sigma2" in capsys.readouterr().err
-    assert not any(pv.iterdir())
+    assert not pv.exists()
 
 
 def test_gen_data_keeps_zero_noise_variance(tmp_path):
@@ -488,7 +488,41 @@ def test_diagnose_rejects_a_bad_cost_ratio_before_writing(tmp_path, capsys, rati
     assert run("diagnose", "--chain", run_dir / "chain.csv", "--cost-ratio", ratio,
                "--out-dir", out) == 1
     assert "cost_ratio must be finite and positive" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_failing_commands_leave_a_fresh_out_dir_absent(tmp_path, capsys):
+    """--out-dir is created after every check, just before the first write."""
+    data = gen_dataset(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run(
+        "sample-joint", "--x", data / "X.csv", "--y", data / "y.csv", "--lambda", 0.3,
+        "--sigma2", 1.0, "--method", "direct", "--iters", 60, "--seed", 7,
+        "--out-dir", run_dir,
+    ) == 0
+    short = tmp_path / "short.csv"
+    np.savetxt(short, np.zeros(3), delimiter=",")
+    xy = ("--x", data / "X.csv", "--y", data / "y.csv", "--lambda", 0.3, "--seed", 1)
+    tail = ("--x", data / "X.csv", "--sigma2", 1.0, "--lambda-star", 0.5, "--t-star", 0.4,
+            "--L", 50, "--l-pilot", 20, "--seed", 1)
+    failing = [
+        (1, "sample-joint", *xy, "--lambda-grid", 5, "--sigma2", "nan", *SHORT_CHAIN),
+        (1, "sample-joint", *xy, "--model", "elliptical", "--boot-samples", 50, "--bins", 0,
+         "--sigma2", 1.0, *SHORT_CHAIN),
+        (2, "sample-joint", *xy, "--beta", short, "--sigma2", 1.0, *SHORT_CHAIN),
+        (1, "sample-cond", *xy, "--active", "0,x", "--sigma2", 1.0, *SHORT_CHAIN),
+        (2, "sample-cond", *xy, "--active", "0", "--beta", short, "--sigma2", 1.0,
+         *SHORT_CHAIN),
+        (1, "pvalue", *tail, "--stat", "abs-coord"),
+        (2, "pvalue", *tail, "--null-beta", short),
+        (1, "diagnose", "--chain", run_dir / "chain.csv", "--hist-coord", 9),
+        (2, "diagnose", "--chain", tmp_path / "missing.csv"),
+    ]
+    for i, (code, *argv) in enumerate(failing):
+        out = tmp_path / f"o{i}"
+        assert run(*argv, "--out-dir", out) == code, argv
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists(), argv
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

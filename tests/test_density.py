@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import multivariate_normal, ortho_group
 
 from lassodist import (
@@ -299,6 +302,30 @@ def test_nonfinite_model_parameters_are_config_errors(model, named):
         qform_log_density(model, 3, 0.0, 10)
     with pytest.raises(ConfigError, match=named):
         sample_errors(model, 10, 2, np.random.default_rng(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.5, 400.0),
+    st.integers(1, 60),
+    st.floats(0.05, 20.0),
+    st.integers(1, 500),
+    st.floats(-50.0, 50.0),
+    st.floats(0.0, 10.0),
+)
+def test_studentt_log_density_matches_gammaln_oracle(dof, dim, scale, n, log_det, q):
+    """math.lgamma gives the Student-t constant that scipy's gammaln gives."""
+    got = qform_log_density(StudentT(dof=dof, scale=scale), dim, log_det, n)(q)
+    lg_top, lg_bottom = gammaln(0.5 * (dof + dim)), gammaln(0.5 * dof)
+    want = (
+        lg_top
+        - lg_bottom
+        - 0.5 * dim * math.log(dof * math.pi)
+        - 0.5 * (dim * math.log(scale / n) + log_det)
+        - 0.5 * (dof + dim) * math.log1p(n * q / scale / dof)
+    )
+    # lgamma and gammaln differ by a few ulps of the log-gamma values.
+    assert abs(got - want) <= 1e-13 * (1.0 + abs(lg_top) + abs(lg_bottom) + abs(want))
 
 
 def test_zero_gaussian_variance_samples_zero_noise():

@@ -225,6 +225,50 @@ def test_posterior_zero_penalty_returns_raw_draws():
     np.testing.assert_array_equal(chain.active, draws != 0.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
+def test_posterior_spread_matches_triangular_solve_oracle(seed, p, student):
+    """Raw posterior draws agree with scipy's triangular solve of the Cholesky factor."""
+    from scipy.linalg import cho_solve, solve_triangular
+
+    gen = np.random.default_rng(seed)
+    n = p + 1 + int(gen.integers(0, 30))
+    X = gen.standard_normal((n, p)) * gen.uniform(0.2, 5.0, p)
+    spec = build_problem(X, 1.0, 0.4)
+    y = gen.standard_normal(n)
+    model = StudentT(dof=5.0, scale=1.3) if student else Gaussian(1.3)
+    chain = posterior_decision_sample(spec, y, model, 40, seed, lam=0.0)
+
+    rng = generator(seed)
+    z = rng.standard_normal((40, p))
+    mix = 1.0 / np.sqrt(rng.chisquare(5.0, size=40) / 5.0) if student else np.ones(40)
+    ols = cho_solve((spec.gram_cholesky, True), spec.X.T @ y / n)
+    spread = solve_triangular(spec.gram_cholesky.T, z.T, lower=False).T
+    draws = ols + math.sqrt(1.3 / n) * spread * mix[:, None]
+    scale = np.abs(ols).max() + math.sqrt(1.3 / n) * np.abs(spread * mix[:, None]).max()
+    np.testing.assert_allclose(chain.thetas, draws, rtol=0.0, atol=1e-11 * scale)
+
+
+def test_elliptical_fit_whitening_matches_triangular_solve_oracle():
+    from scipy.linalg import solve_triangular
+
+    gen = np.random.default_rng(41)
+    X = gen.standard_normal((60, 2)) * np.array([0.5, 3.0])
+    spec = build_problem(X, 1.0, 0.3)
+    y = X @ np.array([1.0, -1.0]) + gen.standard_normal(60)
+    center = np.zeros(2)
+    model = fit_elliptical_model(spec, y, center, n_samples=500, bins=8, seed=9)
+
+    resid = y - X @ center
+    resid = resid - resid.mean()
+    noise = generator(9).choice(resid, size=(500, 60), replace=True)
+    white = solve_triangular(spec.gram_cholesky, (noise @ X / 60).T, lower=True)
+    radii = np.sqrt(np.sum(white * white, axis=0))
+    assert model.edges[-1] == pytest.approx(radii.max() * (1.0 + 1e-12), rel=1e-12)
+    counts, _ = np.histogram(radii, bins=model.edges)
+    np.testing.assert_array_equal(model.counts, counts)
+
+
 def test_posterior_null_response_matches_phi_product():
     X = np.zeros((3, 1))
     X[0, 0] = math.sqrt(3.0)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from lassodist import (
     ConfigError,
@@ -113,6 +116,38 @@ def test_gram_cholesky_rejects_singular():
         spec = build_problem(np.ones((3, 2)), 1.0, 0.2)
     with pytest.raises(NumericalError):
         spec.gram_cholesky
+
+
+def test_gram_solve_rejects_singular():
+    with pytest.warns(RuntimeWarning):
+        spec = build_problem(np.ones((3, 2)), 1.0, 0.2)
+    with pytest.raises(NumericalError):
+        spec.gram_solve(np.ones(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),
+    st.floats(0.0, 8.0),
+    st.sampled_from([None, 1, 3, 30]),
+)
+def test_gram_solve_matches_cholesky_oracle(seed, p, log10_cond, columns):
+    """The LU solve agrees with scipy's Cholesky solve up to the condition number."""
+    gen = np.random.default_rng(seed)
+    n = p + int(gen.integers(0, 20))
+    left, _ = np.linalg.qr(gen.standard_normal((n, p)))
+    right, _ = np.linalg.qr(gen.standard_normal((p, p)))
+    eigenvalues = np.logspace(0.0, -log10_cond, p)
+    X = math.sqrt(n) * (left * np.sqrt(eigenvalues)) @ right.T
+    spec = build_problem(X, 1.0, 0.3)
+    u = gen.standard_normal(p if columns is None else (p, columns))
+    got = spec.gram_solve(u)
+    want = cho_solve((spec.gram_cholesky, True), u)
+    assert got.shape == want.shape == u.shape
+    cond = np.linalg.cond(spec.gram)
+    gap = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert np.all(gap <= 10.0 * p * cond * np.finfo(float).eps), (cond, gap.max())
 
 
 @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -1.0])

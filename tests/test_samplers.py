@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal, multivariate_t, norm
 
 import lassodist.samplers
@@ -38,9 +39,10 @@ from lassodist.density import (
 )
 from lassodist.rng import generator, seed_sequence
 from lassodist.problem import synthetic_dataset
-from lassodist.samplers import _CAP_SLACK, SamplerConfig, _MhEngine
+from lassodist.samplers import _CAP_SLACK, SamplerConfig, _MhEngine, _normal_cdf
 from lassodist.solver import lambda_max
 
+from conftest import random_instance
 from oracles import assemble_jacobian, cell_probability, state_score, state_from_arrays
 
 
@@ -108,6 +110,32 @@ def test_mls_matches_direct_on_selection_probability():
     p_direct = direct.active.mean(axis=0)
     p_mls = chain.active.mean(axis=0)
     np.testing.assert_allclose(p_mls, p_direct, atol=0.03)
+
+
+def test_normal_cdf_matches_ndtr():
+    x = np.concatenate([np.linspace(-38.0, 38.0, 7601), [-38.0, -1e-300, 0.0, 1e-300, 38.0]])
+    got, want = _normal_cdf(x), ndtr(x)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    resolved = want > 1e-300
+    assert resolved.sum() > 7000
+    np.testing.assert_allclose(got[resolved], want[resolved], rtol=1e-12, atol=0.0)
+    assert np.all(got[x == 0.0] == 0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.05, 20.0))
+def test_default_config_weights_match_ndtr_oracle(seed, sigma2_hat):
+    gen = np.random.default_rng(seed)
+    spec = random_instance(gen, 30, 6)[0]
+    beta_ref = gen.standard_normal(6) * gen.choice([0.0, 0.1, 1.0, 10.0], 6)
+    config = default_sampler_config(
+        spec, 1, iters=10, burn_in=0, beta_ref=beta_ref, sigma2_hat=sigma2_hat
+    )
+    zeta = np.sqrt(sigma2_hat * np.diag(spec.gram_inv) / spec.n)
+    omega = ndtr(-np.abs(beta_ref) / zeta)
+    alpha = omega + omega.sum() / (5.0 * spec.p)
+    np.testing.assert_allclose(config.alpha, alpha / alpha.sum(), rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(config.tau, 2.0 * zeta)
 
 
 def test_mls_equilibrium_init_keeps_all_sweeps(identity_spec):
