@@ -2,10 +2,10 @@
 
 The package evaluates the exact joint density of the penalized
 coefficients together with their subgradient, simulates that law by
-direct draws (p <= n and p > n) or Metropolis-Hastings chains (joint,
-conditional, and random-design variants; p <= n only), estimates
-far-tail probabilities by importance sampling (p <= n and p > n), and
-ships the estimation and diagnostic helpers needed around those samplers.
+direct draws (p <= n and p > n) or Metropolis-Hastings chains (joint
+and conditional; p <= n only), estimates far-tail probabilities by
+importance sampling (p <= n and p > n), and ships the estimation and
+diagnostic helpers needed around those samplers.
 """
 from __future__ import annotations
 
@@ -72,7 +72,6 @@ from .samplers import (
     default_sampler_config,
     direct_sample,
     mh_sample,
-    random_design_mh_sample,
     read_chain_csv,
     write_chain_csv,
     write_chain_meta,
@@ -131,7 +130,6 @@ __all__ = [
     "pvalue_study",
     "radial_log_norm",
     "radial_log_pdf",
-    "random_design_mh_sample",
     "read_chain_csv",
     "recentered_minimizer",
     "rowspace_residual",

@@ -228,11 +228,6 @@ def qform_log_density(
     raise ConfigError(f"unknown error model {type(model).__name__}")
 
 
-def log_error_density_from_qform(model: ErrorModel, qform: float, spec: ProblemSpec) -> float:
-    """Log density of the score vector given its Mahalanobis form u'C^{-1}u."""
-    return qform_log_density(model, spec.p, spec.log_det_gram, spec.n)(qform)
-
-
 def scores(
     thetas: np.ndarray,
     active: np.ndarray,
@@ -336,9 +331,8 @@ def log_density(
     """
     validate_state(state, spec.p)
     qform = float(score_qform(score_map(state, beta, spec), spec))
-    return log_error_density_from_qform(model, qform, spec) + log_det_jacobian(
-        state.active, spec
-    )
+    log_f = qform_log_density(model, spec.p, spec.log_det_gram, spec.n)
+    return log_f(qform) + log_det_jacobian(state.active, spec)
 
 
 def inactive_null_basis(

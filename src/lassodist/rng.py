@@ -22,7 +22,3 @@ def generator(seed: Seed | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(seed_sequence(seed)))
-
-
-def spawn(seed: Seed, k: int) -> list[np.random.SeedSequence]:
-    return seed_sequence(seed).spawn(k)

@@ -1,19 +1,18 @@
 """Samplers for the augmented-estimator distribution.
 
-Exact direct sampling (simulate noise, re-solve), and three
-Metropolis-Hastings chains: over the full augmented space, conditioned on
-a fixed active set, and with the design refreshed by resampling its rows.
-The chains share one start-up and run loop (``_mh_chain``), one sweep
-(``_MhEngine.sweep``; a conditional chain sweeps with no add/drop
-coordinates) and one move kernel that accepts every coefficient,
-subgradient, drop and add proposal (``_MhEngine._move``).
+Exact direct sampling (simulate noise, re-solve), and two
+Metropolis-Hastings chains for a fixed design: over the full augmented
+space, and conditioned on a fixed active set.  The chains share one
+start-up and run loop (``_mh_chain``), one sweep (``_MhEngine.sweep``; a
+conditional chain sweeps with no add/drop coordinates) and one move
+kernel that accepts every coefficient, subgradient, drop and add
+proposal (``_MhEngine._move``).
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "direct_sample",
     "mh_sample",
     "conditional_mh_sample",
-    "random_design_mh_sample",
     "write_chain_csv",
     "read_chain_csv",
     "write_chain_meta",
@@ -48,8 +46,7 @@ COEF_UPDATE = "coef_update"
 SUBGRAD_UPDATE = "subgrad_update"
 DROP_COORD = "drop_coord"
 ADD_COORD = "add_coord"
-DESIGN_UPDATE = "design_update"
-MOVE_KINDS = (COEF_UPDATE, SUBGRAD_UPDATE, DROP_COORD, ADD_COORD, DESIGN_UPDATE)
+MOVE_KINDS = (COEF_UPDATE, SUBGRAD_UPDATE, DROP_COORD, ADD_COORD)
 # Margin on the determinant caps of add/drop moves, far above the rounding
 # of the log-determinants they bound, so a cap never rejects a move that the
 # computed exact ratio would accept.  That rounding grows with the Gram
@@ -211,11 +208,12 @@ def direct_sample(
 class _MhEngine:
     """Mutable chain state of the MH samplers and their one move kernel.
 
-    Tracks the score image ``H`` of the current state, ``G = C^{-1} H``,
-    ``q = H'G`` (the Mahalanobis form the log-likelihood ``loglik = f(q)``
-    depends on), and the log Jacobian ``log_jac`` of the active set.
-    ``rebuild`` builds f once per design (``qform_log_density``) and caches
-    diag C, diag C^{-1} and lam w.
+    Built once for one design: the constructor builds f
+    (``qform_log_density``) and caches diag C, diag C^{-1} and lam w.
+    ``set_state`` computes the score image ``H`` of the state,
+    ``G = C^{-1} H``, ``q = H'G`` (the Mahalanobis form the log-likelihood
+    ``loglik = f(q)`` depends on), and the log Jacobian ``log_jac`` of the
+    active set.
 
     Every proposal goes through ``_move``.  A move on coordinate j changes
     the coefficient by db and the penalty term lam w_j s_j by d = lam w_j ds,
@@ -245,33 +243,24 @@ class _MhEngine:
     caps are upper bounds, so every decision is the exact ratio's.
     """
 
-    def __init__(self, beta: np.ndarray, model: ErrorModel, tau: np.ndarray) -> None:
+    def __init__(
+        self, spec: ProblemSpec, beta: np.ndarray, model: ErrorModel, tau: np.ndarray
+    ) -> None:
+        self.spec = spec
         self.beta = np.asarray(beta, dtype=float)
-        self.model = model
         self.tau = np.asarray(tau, dtype=float).tolist()
         self.accepts = dict.fromkeys(MOVE_KINDS, 0)
         self.attempts = dict.fromkeys(MOVE_KINDS, 0)
-        self.spec: ProblemSpec | None = None
-        self.theta: np.ndarray | None = None
-        self.active: np.ndarray | None = None
-
-    def set_design(self, spec: ProblemSpec) -> None:
-        spec.gram_cholesky  # noqa: B018 - fail fast if the Gram is not PD
-        self.spec = spec
-        if self.theta is not None:
-            self.rebuild()
-
-    def set_state(self, theta: np.ndarray, active: np.ndarray) -> None:
-        self.theta = np.array(theta, dtype=float)
-        self.active = np.array(active, dtype=bool)
-        self.rebuild()
-
-    def rebuild(self) -> None:
-        spec = self.spec
-        self.log_f = qform_log_density(self.model, spec.p, spec.log_det_gram, spec.n)
+        # log_det_gram raises NumericalError when the Gram is not PD.
+        self.log_f = qform_log_density(model, spec.p, spec.log_det_gram, spec.n)
         self.c_diag = np.diag(spec.gram).tolist()
         self.cinv_diag = np.diag(spec.gram_inv).tolist()
         self.lw = (spec.lam * spec.weights).tolist()
+
+    def set_state(self, theta: np.ndarray, active: np.ndarray) -> None:
+        spec = self.spec
+        self.theta = np.array(theta, dtype=float)
+        self.active = np.array(active, dtype=bool)
         self.H = scores(self.theta, self.active, self.beta, spec)
         self.G = spec.gram_inv @ self.H
         self._settle()
@@ -280,10 +269,6 @@ class _MhEngine:
     def _settle(self) -> None:
         self.q = float(self.H @ self.G)
         self.loglik = self.log_f(self.q)
-
-    def log_posterior(self) -> float:
-        """Log target up to a constant (used by design-refresh acceptance)."""
-        return self.loglik + self.log_jac
 
     def _move(
         self, kind: str, j: int, value: float, db: float, d: float, log_u: float,
@@ -455,34 +440,30 @@ def _initial_state(
 def _mh_chain(
     spec: ProblemSpec, beta: np.ndarray, model: ErrorModel, config: SamplerConfig,
     init: AugmentedState | None, wide_message: str, target: np.ndarray | None = None,
-    max_init_draws: int = 0, design_step=None,
+    max_init_draws: int = 0,
 ) -> Chain:
     """Checks, seeds, starting state, engine and sweeps of every MH sampler.
 
     A ``target`` mask conditions the chain on that active set, so no
-    add/drop coordinates are drawn.  ``design_step(engine, rng)`` runs
-    before each sweep and returns the engine to continue with.
+    add/drop coordinates are drawn.
     """
     if spec.p > spec.n:
         raise ConfigError(wide_message)
     _validate_config(config, spec.p)
     beta = np.asarray(beta, dtype=float)
-    init_seed, moves_seq, design_seq = seed_sequence(config.seed).spawn(3)
+    init_seed, moves_seq = seed_sequence(config.seed).spawn(2)
     theta0, active0, burn_in = _initial_state(
         spec, beta, model, config, init, init_seed, target, max_init_draws
     )
-    engine = _MhEngine(beta, model, config.tau)
-    engine.set_design(spec)
+    engine = _MhEngine(spec, beta, model, config.tau)
     engine.set_state(theta0, active0)
-    rng, rng_design = generator(moves_seq), generator(design_seq)
+    rng = generator(moves_seq)
     p = spec.p
     log_alpha = np.log(np.asarray(config.alpha, dtype=float))
     fixed = np.zeros(p, dtype=bool)
     thetas = np.empty((config.iters - burn_in, p))
     active = np.empty(thetas.shape, dtype=bool)
     for t in range(config.iters):
-        if design_step is not None:
-            engine = design_step(engine, rng_design)
         model_mask = fixed if target is not None else _weighted_subset(log_alpha, config.K, rng)
         normals = rng.standard_normal(p)
         unifs = rng.uniform(-1.0, 1.0, p)
@@ -541,57 +522,6 @@ def conditional_mh_sample(
         "the conditional sampler requires p <= n",
         target=_active_mask(A_star, spec.p),
         max_init_draws=max_init_draws,
-    )
-
-
-def random_design_mh_sample(
-    spec: ProblemSpec,
-    beta: np.ndarray,
-    model: ErrorModel,
-    config: SamplerConfig,
-    init: AugmentedState | None = None,
-    row_pool: np.ndarray | None = None,
-    max_retries: int = 50,
-) -> Chain:
-    """MH chain that also refreshes the design by resampling its rows.
-
-    Each iteration first proposes replacing the design with n rows drawn
-    with replacement from ``row_pool`` (default: the rows of ``spec.X``),
-    accepted by the ratio of augmented densities at the current state (the
-    row density cancels); then runs one ordinary MH sweep.
-    """
-    pool = spec.X if row_pool is None else np.asarray(row_pool, dtype=float)
-    if pool.ndim != 2 or pool.shape[1] != spec.p:
-        raise DataError(f"row pool must have shape (m, {spec.p})")
-
-    def design_step(eng: _MhEngine, rng_design: np.random.Generator) -> _MhEngine:
-        eng.attempts[DESIGN_UPDATE] += 1
-        for _ in range(max_retries):
-            X_new = pool[rng_design.integers(0, pool.shape[0], size=spec.n)]
-            gram = X_new.T @ X_new / spec.n
-            candidate = replace(spec, X=X_new, gram=(gram + gram.T) / 2.0, rank_deficient=False)
-            try:
-                candidate.gram_cholesky
-            except NumericalError:
-                continue
-            break
-        else:
-            raise NumericalError(
-                f"row resampling produced no full-rank design in {max_retries} tries"
-            )
-        # The probe shares the counters and the (unchanged) state arrays;
-        # set_design gives it its own H, G and log Jacobian on the candidate.
-        probe = copy.copy(eng)
-        probe.set_design(candidate)
-        if math.log(rng_design.random()) <= probe.log_posterior() - eng.log_posterior():
-            probe.accepts[DESIGN_UPDATE] += 1
-            return probe
-        return eng
-
-    return _mh_chain(
-        spec, beta, model, config, init,
-        "the random-design sampler requires p <= n",
-        design_step=design_step,
     )
 
 

@@ -342,8 +342,7 @@ def test_c07_sweep_ratios_track_exact_determinants():
     gen = np.random.default_rng(707)
     X = gen.standard_normal((80, 50))
     spec = build_problem(X, gen.uniform(0.5, 1.5, 50), 0.35)
-    engine = _MhEngine(np.zeros(50), Gaussian(1.0), np.ones(50))
-    engine.set_design(spec)
+    engine = _MhEngine(spec, np.zeros(50), Gaussian(1.0), np.ones(50))
     engine.set_state(np.zeros(50), np.zeros(50, dtype=bool))
 
     def oracle_log_jac() -> tuple[float, float]:
