@@ -12,7 +12,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .density import (
-    AugmentedState,
     EmpiricalElliptical,
     Gaussian,
     StudentT,
@@ -23,7 +22,6 @@ from .density import (
     radial_log_norm,
     radial_log_pdf,
     rowspace_residual,
-    score_map,
     validate_state,
 )
 from .errors import (
@@ -87,7 +85,6 @@ from .solver import (
 
 __all__ = [
     "__version__",
-    "AugmentedState",
     "Chain",
     "ConfigError",
     "ConvergenceError",
@@ -133,7 +130,6 @@ __all__ = [
     "read_chain_csv",
     "recentered_minimizer",
     "rowspace_residual",
-    "score_map",
     "sign_consistency_prob",
     "solve_lasso",
     "solve_lasso_gram",

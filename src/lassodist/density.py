@@ -18,13 +18,11 @@ from .errors import ConfigError, DataError, NumericalError, check_positive
 from .problem import ProblemSpec, SpectralBasis, log_det_jacobian
 
 __all__ = [
-    "AugmentedState",
     "Gaussian",
     "StudentT",
     "EmpiricalElliptical",
     "ErrorModel",
     "C_TOL",
-    "score_map",
     "scores",
     "score_qform",
     "qform_log_density",
@@ -40,56 +38,20 @@ __all__ = [
 C_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class AugmentedState:
-    """One point of the augmented space: (active set, coefficients, subgradient).
+def validate_state(theta: np.ndarray, active: np.ndarray, p: int) -> None:
+    """Check membership in the augmented space for a p-dimensional problem.
 
-    ``active`` holds sorted coordinate indices, ``b_active`` the nonzero
-    coefficient values on them, and ``s_inactive`` the subgradient values
-    (in [-1, 1]) on the complementary coordinates in ascending order.
+    ``theta`` holds the mixed coordinates (coefficient where the bool mask
+    ``active`` is True, subgradient value elsewhere), as in a ``Chain`` row.
     """
-
-    active: np.ndarray
-    b_active: np.ndarray
-    s_inactive: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.active.size + self.s_inactive.size
-
-    def theta(self) -> np.ndarray:
-        """Mixed coordinate vector: b_j where active, s_j elsewhere."""
-        p = self.dimension
-        out = np.empty(p)
-        mask = self.active_mask()
-        out[mask] = self.b_active
-        out[~mask] = self.s_inactive
-        return out
-
-    def active_mask(self) -> np.ndarray:
-        mask = np.zeros(self.dimension, dtype=bool)
-        mask[self.active] = True
-        return mask
-
-    def subgradient(self) -> np.ndarray:
-        out = np.empty(self.dimension)
-        mask = self.active_mask()
-        out[mask] = np.sign(self.b_active)
-        out[~mask] = self.s_inactive
-        return out
-
-
-def validate_state(state: AugmentedState, p: int) -> None:
-    """Check membership in the augmented space for a p-dimensional problem."""
-    if state.dimension != p:
-        raise DataError(f"state dimension {state.dimension} does not match p={p}")
-    idx = np.asarray(state.active, dtype=int)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= p or np.unique(idx).size != idx.size:
-            raise DataError("active indices must be distinct and in range")
-    if np.any(state.b_active == 0.0):
+    theta, active = np.asarray(theta), np.asarray(active)
+    if theta.shape != (p,) or active.shape != (p,) or active.dtype != bool:
+        raise DataError(f"a state is a ({p},) theta and a ({p},) bool mask")
+    if not np.all(np.isfinite(theta)):
+        raise DataError("state coordinates must be finite")
+    if np.any(theta[active] == 0.0):
         raise DataError("active coefficients must be nonzero")
-    if np.any(np.abs(state.s_inactive) > 1.0):
+    if np.any(np.abs(theta[~active]) > 1.0):
         raise DataError("inactive subgradient values must lie in [-1, 1]")
 
 
@@ -271,15 +233,6 @@ def score_qform(
     return np.sum((u @ basis.row_basis) ** 2 / basis.eigenvalues, axis=-1)
 
 
-def score_map(state: AugmentedState, beta: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Map a state to the score vector it must have produced.
-
-    Inverts the stationarity equation: the score equals
-    ``C (beta_hat - beta) + lam * w * S``.
-    """
-    return scores(state.theta(), state.active_mask(), beta, spec)
-
-
 def _assemble_jacobian(A: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """The p x p matrix sending (b_A, s_I) to the score: (C_A | lam W_I)."""
     idx = np.sort(np.asarray(A, dtype=int).ravel())
@@ -319,7 +272,8 @@ def gaussian_moments(
 
 
 def log_density(
-    state: AugmentedState,
+    theta: np.ndarray,
+    active: np.ndarray,
     beta: np.ndarray,
     model: ErrorModel,
     spec: ProblemSpec,
@@ -329,10 +283,10 @@ def log_density(
     The density is the score density evaluated at the mapped state times
     the absolute Jacobian determinant of the map.
     """
-    validate_state(state, spec.p)
-    qform = float(score_qform(score_map(state, beta, spec), spec))
+    validate_state(theta, active, spec.p)
+    qform = float(score_qform(scores(theta, active, beta, spec), spec))
     log_f = qform_log_density(model, spec.p, spec.log_det_gram, spec.n)
-    return log_f(qform) + log_det_jacobian(state.active, spec)
+    return log_f(qform) + log_det_jacobian(np.flatnonzero(active), spec)
 
 
 def inactive_null_basis(
@@ -360,10 +314,11 @@ def inactive_null_basis(
 
 
 def rowspace_residual(
-    state: AugmentedState, basis: SpectralBasis, spec: ProblemSpec
+    theta: np.ndarray, active: np.ndarray, basis: SpectralBasis, spec: ProblemSpec
 ) -> float:
     """Max-norm violation of the row-space constraint on the subgradient."""
-    v = basis.null_basis.T @ (spec.weights * state.subgradient())
+    subgrad = np.where(active, np.sign(theta), theta)
+    v = basis.null_basis.T @ (spec.weights * subgrad)
     return float(np.max(np.abs(v), initial=0.0))
 
 
@@ -398,7 +353,8 @@ def log_det_rowspace_jacobian(
 
 
 def log_density_rowspace(
-    state: AugmentedState,
+    theta: np.ndarray,
+    active: np.ndarray,
     beta: np.ndarray,
     model: ErrorModel,
     spec: ProblemSpec,
@@ -412,22 +368,22 @@ def log_density_rowspace(
     dimension n describing the whitened row-space score.  ``null_span``
     passes through to the Jacobian computation.
     """
-    validate_state(state, spec.p)
+    validate_state(theta, active, spec.p)
     if spec.p <= spec.n:
         raise ConfigError("row-space density applies only to p > n designs")
-    resid = rowspace_residual(state, basis, spec)
+    resid = rowspace_residual(theta, active, basis, spec)
     if resid > C_TOL:
         raise DataError(
             f"subgradient violates the row-space constraint ({resid:.3e} > {C_TOL:g})"
         )
     if isinstance(model, StudentT):
         raise ConfigError("StudentT error model is not supported on the p > n path")
-    qform = float(score_qform(score_map(state, beta, spec), spec, basis))
+    qform = float(score_qform(scores(theta, active, beta, spec), spec, basis))
     log_f = qform_log_density(
         model, spec.n, float(np.sum(np.log(basis.eigenvalues))), spec.n
     )(qform)
     return log_f + log_det_rowspace_jacobian(
-        state.active, spec, basis, null_span=null_span
+        np.flatnonzero(active), spec, basis, null_span=null_span
     )
 
 

@@ -94,9 +94,10 @@ def fit_elliptical_model(
 
     Residuals of the plug-in fit are centered and resampled into synthetic
     noise vectors; the whitened scores' radii are histogrammed over
-    ``bins`` (an edge vector starting at 0, or a count for equal-width
-    binning), and the log density beyond the last edge is extrapolated
-    linearly from the last nonempty bins.
+    ``bins``, and the log density beyond the last edge is extrapolated
+    linearly from the last bins.  ``bins`` is an edge vector starting at 0,
+    or a count M of equal-count bins: edges 0, the radii quantiles k/M for
+    k = 1, ..., M - 1, and a top edge just above the largest radius.
     """
     if spec.p > spec.n:
         raise ConfigError("the elliptical fit requires p <= n")
@@ -122,7 +123,7 @@ def fit_elliptical_model(
         top = float(radii.max()) * (1.0 + 1e-12)
         if top <= 0:
             raise DataError("all bootstrap radii are zero")
-        edges = np.linspace(0.0, top, m + 1)
+        edges = np.concatenate(([0.0], np.quantile(radii, np.arange(1, m) / m), [top]))
     else:
         edges = np.asarray(bins, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or edges[0] != 0.0:

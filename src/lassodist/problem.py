@@ -59,7 +59,9 @@ class ProblemSpec:
 
     @cached_property
     def gram_cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor of the Gram matrix (requires p <= n)."""
+        """Lower Cholesky factor of the Gram matrix (requires p <= n and a full-rank design)."""
+        if self.rank_deficient:
+            raise NumericalError("Gram matrix is not positive definite: rank-deficient design")
         try:
             return np.linalg.cholesky(self.gram)
         except np.linalg.LinAlgError as exc:

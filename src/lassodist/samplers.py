@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .density import (
-    AugmentedState,
     ErrorModel,
     qform_log_density,
     sample_errors,
@@ -397,7 +396,7 @@ def _weighted_subset(
 
 def _initial_state(
     spec: ProblemSpec, beta: np.ndarray, model: ErrorModel, config: SamplerConfig,
-    init: AugmentedState | None, init_seed: np.random.SeedSequence,
+    init: tuple[np.ndarray, np.ndarray] | None, init_seed: np.random.SeedSequence,
     target: np.ndarray | None, max_init_draws: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Resolve the starting point and effective burn-in.
@@ -424,11 +423,11 @@ def _initial_state(
             f"no exact draw hit the conditioning active set in {max_init_draws} tries"
         )
     if init is not None:
-        validate_state(init, spec.p)
-        mask = init.active_mask()
+        theta, mask = init
+        validate_state(theta, mask, spec.p)
         if target is not None and not np.array_equal(mask, target):
             raise ConfigError("initial state must have the conditioning active set")
-        return init.theta(), mask, config.burn_in
+        return theta, mask, config.burn_in
     if target is not None:
         return np.where(target, spec.lam, 0.0), target, config.burn_in
     # Deterministic default: start at the centering vector itself,
@@ -439,8 +438,8 @@ def _initial_state(
 
 def _mh_chain(
     spec: ProblemSpec, beta: np.ndarray, model: ErrorModel, config: SamplerConfig,
-    init: AugmentedState | None, wide_message: str, target: np.ndarray | None = None,
-    max_init_draws: int = 0,
+    init: tuple[np.ndarray, np.ndarray] | None, wide_message: str,
+    target: np.ndarray | None = None, max_init_draws: int = 0,
 ) -> Chain:
     """Checks, seeds, starting state, engine and sweeps of every MH sampler.
 
@@ -488,12 +487,13 @@ def mh_sample(
     beta: np.ndarray,
     model: ErrorModel,
     config: SamplerConfig,
-    init: AugmentedState | None = None,
+    init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Chain:
     """Metropolis-Hastings chain over the full augmented space (p <= n).
 
     Each iteration proposes add/drop moves on K weighted-sampled
     coordinates and coefficient/subgradient updates on the others.
+    ``init`` is a (theta, active) start, as in a ``Chain`` row.
     """
     return _mh_chain(
         spec, beta, model, config, init,
@@ -507,7 +507,7 @@ def conditional_mh_sample(
     model: ErrorModel,
     A_star: np.ndarray,
     config: SamplerConfig,
-    init: AugmentedState | None = None,
+    init: tuple[np.ndarray, np.ndarray] | None = None,
     max_init_draws: int = 10_000,
 ) -> Chain:
     """MH chain conditioned on a fixed active set.

@@ -42,3 +42,11 @@ def random_instance(gen: np.random.Generator, n: int, p: int, lam: float | None 
     if lam is None:
         lam = float(gen.uniform(0.05, 0.6))
     return build_problem(X, weights, lam), y
+
+
+def duplicated_column_design(seed):
+    """30 x 5 Gaussian design with column 3 equal to column 1, and a response."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((30, 5))
+    X[:, 3] = X[:, 1]
+    return X, X @ np.array([1.0, 0.5, 0.0, 0.0, -1.0]) + rng.standard_normal(30)

@@ -13,18 +13,6 @@ import math
 import numpy as np
 from scipy.stats import norm
 
-from lassodist.density import AugmentedState
-
-
-def state_from_arrays(theta: np.ndarray, active_mask: np.ndarray) -> AugmentedState:
-    """Assemble a state from a chain row: mixed coordinate vector and active mask."""
-    active = np.nonzero(active_mask)[0]
-    return AugmentedState(
-        active=active,
-        b_active=np.asarray(theta)[active_mask].copy(),
-        s_inactive=np.asarray(theta)[~active_mask].copy(),
-    )
-
 
 def enumerate_lasso(
     gram: np.ndarray, xty: np.ndarray, weights: np.ndarray, lam: float
@@ -213,7 +201,6 @@ def mixed_density_integral(
     sigma2: float,
     n: int,
     log_density,
-    state_factory,
     grid: int = 160,
     span: float = 10.0,
 ) -> float:
@@ -221,7 +208,8 @@ def mixed_density_integral(
 
     For each active set the continuous block (b_A, s_I) is integrated on a
     trapezoid grid; coefficient axes run over +-span around the mean,
-    subgradient axes over [-1, 1].
+    subgradient axes over [-1, 1].  ``log_density(theta, active)`` is the
+    log density at a grid point, as a mixed vector and a bool mask.
     """
     trapz = getattr(np, "trapezoid", None) or np.trapz
     p = gram.shape[0]
@@ -256,8 +244,7 @@ def mixed_density_integral(
                 if np.any(theta[mask] == 0.0):
                     vals[idx] = 0.0
                     continue
-                state = state_factory(theta, mask)
-                vals[idx] = math.exp(log_density(state))
+                vals[idx] = math.exp(log_density(theta, mask))
             for axis in reversed(range(p)):
                 vals = trapz(vals, axes[axis], axis=axis)
             total += float(vals)

@@ -33,12 +33,11 @@ from lassodist import (
     pvalue_study,
     recentered_minimizer,
     rowspace_residual,
-    score_map,
     sign_consistency_prob,
     solve_lasso,
     spectral_decompose,
 )
-from lassodist.density import log_det_rowspace_jacobian
+from lassodist.density import log_det_rowspace_jacobian, scores
 from lassodist.samplers import _MhEngine
 
 from oracles import (
@@ -47,7 +46,6 @@ from oracles import (
     cell_probability,
     mixed_density_integral,
     split_normal_cdf,
-    state_from_arrays,
 )
 
 
@@ -66,8 +64,7 @@ def _identity_design(p: int, n: int) -> np.ndarray:
 def _solution_state(sol):
     mask = np.zeros(sol.beta_hat.shape[0], dtype=bool)
     mask[sol.active] = True
-    theta = np.where(mask, sol.beta_hat, sol.subgrad)
-    return state_from_arrays(theta, mask)
+    return np.where(mask, sol.beta_hat, sol.subgrad), mask
 
 
 def test_c01_kkt_and_score_round_trip():
@@ -90,13 +87,13 @@ def test_c01_kkt_and_score_round_trip():
             sol = solve_lasso(spec, y, kkt_tol=1e-10)
             worst_kkt = max(worst_kkt, sol.kkt_residual)
             state = _solution_state(sol)
-            rebuilt = score_map(state, np.zeros(p), spec)
+            rebuilt = scores(*state, np.zeros(p), spec)
             gap = float(np.max(np.abs(rebuilt - X.T @ y / n)))
             worst_score = max(worst_score, gap)
             if p > n:
                 basis = spectral_decompose(spec)
                 worst_constraint = max(
-                    worst_constraint, rowspace_residual(state, basis, spec)
+                    worst_constraint, rowspace_residual(*state, basis, spec)
                 )
     elapsed = time.perf_counter() - start
     ok = (
@@ -159,8 +156,7 @@ def test_c03_density_mass_is_unit():
         beta1,
         0.9,
         5,
-        lambda state: log_density(state, beta1, Gaussian(0.9), spec1),
-        state_from_arrays,
+        lambda theta, active: log_density(theta, active, beta1, Gaussian(0.9), spec1),
         grid=200,
         span=6.0,
     )
@@ -176,8 +172,7 @@ def test_c03_density_mass_is_unit():
         beta2,
         1.2,
         6,
-        lambda state: log_density(state, beta2, Gaussian(1.2), spec2),
-        state_from_arrays,
+        lambda theta, active: log_density(theta, active, beta2, Gaussian(1.2), spec2),
         grid=144,
         span=5.0,
     )
@@ -310,15 +305,15 @@ def test_c06_jacobian_penalty_scaling_and_basis_invariance():
     worst_rot = 0.0
     checked = 0
     for i in range(len(chain)):
-        state = state_from_arrays(chain.thetas[i], chain.active[i])
-        dim = 8 - state.active.size
+        state = chain.thetas[i], chain.active[i]
+        dim = 8 - np.count_nonzero(chain.active[i])
         if dim < 1:
             continue
-        inactive = np.setdiff1d(np.arange(20), state.active)
+        inactive = np.flatnonzero(~chain.active[i])
         B = inactive_null_basis(inactive, basis, spec)
         Q = ortho_group.rvs(dim, random_state=620 + i)
-        ld_ref = log_density_rowspace(state, beta0, model, spec, basis)
-        ld_rot = log_density_rowspace(state, beta0, model, spec, basis, null_span=B @ Q)
+        ld_ref = log_density_rowspace(*state, beta0, model, spec, basis)
+        ld_rot = log_density_rowspace(*state, beta0, model, spec, basis, null_span=B @ Q)
         worst_rot = max(worst_rot, abs(ld_ref - ld_rot))
         checked += 1
     ok = worst_scale < 1e-10 and worst_rot < 1e-10 and checked >= 3

@@ -9,6 +9,8 @@ from lassodist import cli
 from lassodist.cli import main
 from lassodist.samplers import read_chain_csv
 
+from conftest import duplicated_column_design
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -523,6 +525,25 @@ def test_failing_commands_leave_a_fresh_out_dir_absent(tmp_path, capsys):
         assert run(*argv, "--out-dir", out) == code, argv
         assert "error:" in capsys.readouterr().err
         assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("seed", [9, 11, 13])
+def test_rank_deficient_design_exits_three_for_chains_and_runs_direct(tmp_path, capsys, seed):
+    """A chain needs C^-1, so it fails before any output; exact draws do not."""
+    X, y = duplicated_column_design(seed)
+    np.savetxt(tmp_path / "X.csv", X, delimiter=",")
+    np.savetxt(tmp_path / "y.csv", y, delimiter=",")
+    xy = ("--x", tmp_path / "X.csv", "--y", tmp_path / "y.csv", "--lambda", 0.3,
+          "--sigma2", 1.0, "--iters", 40, "--burnin", 10, "--seed", 7)
+    for command in (("sample-joint", "--method", "mls"), ("sample-cond", "--active", "0,4")):
+        out = tmp_path / command[0]
+        with pytest.warns(RuntimeWarning, match="rank-deficient"):
+            assert run(*command, *xy, "--out-dir", out) == 3
+        assert "rank-deficient design" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        assert run("sample-joint", "--method", "direct", *xy, "--out-dir", tmp_path / "d") == 0
+    assert len(read_chain_csv(tmp_path / "d" / "chain.csv")) == 40
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -21,12 +21,10 @@ from lassodist import (
     log_density,
     log_density_rowspace,
     rowspace_residual,
-    score_map,
     solve_lasso,
     spectral_decompose,
 )
 from lassodist.density import (
-    AugmentedState,
     log_det_rowspace_jacobian,
     qform_log_density,
     radial_log_norm,
@@ -39,24 +37,27 @@ from lassodist.density import (
 from lassodist.density import EmpiricalElliptical
 
 from conftest import random_instance
-from oracles import assemble_rowspace_jacobian, state_from_arrays
+from oracles import assemble_rowspace_jacobian
 
 
 def make_state(active, b, s_inactive):
-    return AugmentedState(
-        active=np.asarray(active, dtype=int),
-        b_active=np.asarray(b, dtype=float),
-        s_inactive=np.asarray(s_inactive, dtype=float),
-    )
+    """(theta, active) with ``b`` on the ``active`` indices and ``s_inactive`` on the rest."""
+    b, s_inactive = np.asarray(b, dtype=float), np.asarray(s_inactive, dtype=float)
+    mask = np.zeros(b.size + s_inactive.size, dtype=bool)
+    mask[np.asarray(active, dtype=int)] = True
+    theta = np.empty(mask.size)
+    theta[mask] = b
+    theta[~mask] = s_inactive
+    return theta, mask
 
 
-def test_score_map_soft_threshold_inverse(identity_spec):
+def test_scores_soft_threshold_inverse(identity_spec):
     state = make_state([0], [1.5], [0.6])
-    u = score_map(state, np.zeros(2), identity_spec)
+    u = scores(*state, np.zeros(2), identity_spec)
     np.testing.assert_allclose(u, [2.0, 0.3], atol=1e-12)
 
 
-def test_score_map_round_trips_through_solver(rng):
+def test_scores_round_trip_through_solver(rng):
     for _ in range(20):
         spec, y = random_instance(rng, 12, 4)
         fit = solve_lasso(spec, y)
@@ -65,7 +66,7 @@ def test_score_map_round_trips_through_solver(rng):
             active, fit.beta_hat[active], fit.subgrad[fit.beta_hat == 0]
         )
         beta_true = rng.standard_normal(4) * 0.5
-        u = score_map(state, beta_true, spec)
+        u = scores(*state, beta_true, spec)
         expected = spec.X.T @ (y - spec.X @ beta_true) / spec.n
         np.testing.assert_allclose(u, expected, atol=1e-8)
 
@@ -142,7 +143,7 @@ def test_log_density_equals_gaussian_logpdf(rng):
         beta = rng.standard_normal(3) * 0.4
         sigma2 = float(rng.uniform(0.5, 2.0))
 
-        value = log_density(state, beta, Gaussian(sigma2), spec)
+        value = log_density(*state, beta, Gaussian(sigma2), spec)
 
         mu, cov = gaussian_moments(active, np.sign(b), beta, sigma2, spec)
         z = np.concatenate([b, s_in])
@@ -152,20 +153,57 @@ def test_log_density_equals_gaussian_logpdf(rng):
 
 def test_log_density_studentt_approaches_gaussian_at_high_dof(small_spec):
     state = make_state([1], [0.8], np.full(4, 0.2))
-    val_g = log_density(state, np.zeros(5), Gaussian(1.0), small_spec)
-    val_t = log_density(state, np.zeros(5), StudentT(dof=1e6, scale=1.0), small_spec)
+    val_g = log_density(*state, np.zeros(5), Gaussian(1.0), small_spec)
+    val_t = log_density(*state, np.zeros(5), StudentT(dof=1e6, scale=1.0), small_spec)
     assert val_t == pytest.approx(val_g, abs=0.01)
 
 
 def test_validate_state_rejects_bad_states():
     with pytest.raises(DataError):
-        validate_state(make_state([0], [0.0], [0.5]), 2)
+        validate_state(*make_state([0], [0.0], [0.5]), 2)
     with pytest.raises(DataError):
-        validate_state(make_state([0], [1.0], [1.5]), 2)
+        validate_state(*make_state([0], [1.0], [1.5]), 2)
+    # An active index 2 for p = 2 makes a 3-coordinate state.
     with pytest.raises(DataError):
-        validate_state(make_state([2], [1.0], [0.0]), 2)
+        validate_state(*make_state([2], [1.0], [0.0, 0.0]), 2)
+    # Duplicate indices [0, 0] passed where the bool mask goes.
     with pytest.raises(DataError):
-        validate_state(make_state([0, 0], [1.0, 1.0], []), 2)
+        validate_state(np.array([1.0, 1.0]), np.array([0, 0]), 2)
+
+
+@pytest.mark.parametrize(
+    "theta, active",
+    [
+        ([math.nan, 0.5], [True, False]),
+        ([0.8, math.nan], [True, False]),
+        ([1.0, math.inf], [True, True]),
+        ([1.0, 0.5, 0.5], [True, False, False]),
+        ([1.0, 0.5], [True, False, False]),
+        ([[1.0, 0.5]], [[True, False]]),
+        ([1.0, 0.5], [1, 0]),
+        ([1.0, 0.5], [1.0, 0.0]),
+    ],
+    ids=["nan-active", "nan-inactive", "inf-active", "long-theta", "long-mask",
+         "row-block", "int-mask", "float-mask"],
+)
+def test_validate_state_rejects_malformed_arrays(theta, active):
+    with pytest.raises(DataError):
+        validate_state(np.array(theta), np.array(active), 2)
+
+
+def test_densities_reject_a_nonfinite_state(small_spec, wide_spec):
+    """A NaN state used to pass validation, since NaN == 0 and NaN > 1 are False."""
+    theta = np.array([0.8, math.nan, 0.2, 0.2, 0.2])
+    active = np.array([True, False, False, False, False])
+    with pytest.raises(DataError, match="finite"):
+        log_density(theta, active, np.zeros(5), Gaussian(1.0), small_spec)
+    theta = np.full(wide_spec.p, 0.1)
+    theta[2] = math.nan
+    with pytest.raises(DataError, match="finite"):
+        log_density_rowspace(
+            theta, np.zeros(wide_spec.p, dtype=bool), np.zeros(wide_spec.p), Gaussian(1.0),
+            wide_spec, spectral_decompose(wide_spec),
+        )
 
 
 def test_inactive_null_basis_rank_one():
@@ -194,9 +232,9 @@ def test_rowspace_residual_hand_values():
     spec = build_problem(np.array([[1.0, 1.0]]), 1.0, 0.3)
     basis = spectral_decompose(spec)
     equal = make_state([], [], [0.3, 0.3])
-    assert rowspace_residual(equal, basis, spec) == pytest.approx(0.0, abs=1e-12)
+    assert rowspace_residual(*equal, basis, spec) == pytest.approx(0.0, abs=1e-12)
     opposite = make_state([], [], [0.3, -0.3])
-    assert rowspace_residual(opposite, basis, spec) == pytest.approx(
+    assert rowspace_residual(*opposite, basis, spec) == pytest.approx(
         0.6 / math.sqrt(2), abs=1e-12
     )
 
@@ -251,18 +289,18 @@ def test_rowspace_density_round_trip(wide_spec):
     chain = direct_sample(wide_spec, beta, Gaussian(1.0), 5, 3)
     basis = spectral_decompose(wide_spec)
     for i in range(len(chain)):
-        state = state_from_arrays(chain.thetas[i], chain.active[i])
-        assert rowspace_residual(state, basis, wide_spec) <= 1e-8
-        val = log_density_rowspace(state, beta, Gaussian(1.0), wide_spec, basis)
+        state = chain.thetas[i], chain.active[i]
+        assert rowspace_residual(*state, basis, wide_spec) <= 1e-8
+        val = log_density_rowspace(*state, beta, Gaussian(1.0), wide_spec, basis)
         assert np.isfinite(val)
 
 
 def test_rowspace_density_rejects_violating_state(wide_spec):
     basis = spectral_decompose(wide_spec)
     bad = make_state([], [], np.linspace(-0.9, 0.9, wide_spec.p))
-    if rowspace_residual(bad, basis, wide_spec) > 1e-6:
+    if rowspace_residual(*bad, basis, wide_spec) > 1e-6:
         with pytest.raises(DataError):
-            log_density_rowspace(bad, np.zeros(wide_spec.p), Gaussian(1.0), wide_spec, basis)
+            log_density_rowspace(*bad, np.zeros(wide_spec.p), Gaussian(1.0), wide_spec, basis)
 
 
 def test_radial_model_single_bin_is_flat():

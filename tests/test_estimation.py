@@ -35,7 +35,7 @@ from lassodist import (
 from lassodist.rng import generator
 from lassodist.samplers import active_bitmask
 
-from oracles import ar1_series, cell_probability, soft_threshold, state_from_arrays
+from oracles import ar1_series, cell_probability, soft_threshold
 
 
 def make_chain(thetas, active, **kw):
@@ -293,7 +293,7 @@ def test_posterior_student_states_are_valid(small_spec):
     y = 1.5 * generator(3).standard_normal(small_spec.n)
     chain = posterior_decision_sample(small_spec, y, StudentT(dof=3.0, scale=1.0), 200, 4)
     for i in range(0, 200, 40):
-        validate_state(state_from_arrays(chain.thetas[i], chain.active[i]), small_spec.p)
+        validate_state(chain.thetas[i], chain.active[i], small_spec.p)
 
 
 def test_posterior_records_kkt_residual(small_spec):

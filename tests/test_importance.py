@@ -27,25 +27,27 @@ from lassodist import (
     tune_trial,
 )
 from lassodist import importance as imp
-from lassodist.density import AugmentedState, score_qform, scores
+from lassodist.density import score_qform, scores
 from lassodist.importance import TrialSpec, chain_log_weights, pool_results, sample_trial
 from lassodist.rng import generator
 
-from oracles import rowspace_qform, state_from_arrays, tail_estimate
+from oracles import rowspace_qform, tail_estimate
 
 
 def make_state(active, b, s_inactive):
-    return AugmentedState(
-        active=np.asarray(active, dtype=int),
-        b_active=np.asarray(b, dtype=float),
-        s_inactive=np.asarray(s_inactive, dtype=float),
-    )
+    """(theta, active) with ``b`` on the ``active`` indices and ``s_inactive`` on the rest."""
+    b, s_inactive = np.asarray(b, dtype=float), np.asarray(s_inactive, dtype=float)
+    mask = np.zeros(b.size + s_inactive.size, dtype=bool)
+    mask[np.asarray(active, dtype=int)] = True
+    theta = np.empty(mask.size)
+    theta[mask] = b
+    theta[~mask] = s_inactive
+    return theta, mask
 
 
 def one_row_chain(state):
-    return Chain(
-        thetas=state.theta()[None], active=state.active_mask()[None], iterations=np.arange(1)
-    )
+    theta, active = state
+    return Chain(thetas=theta[None], active=active[None], iterations=np.arange(1))
 
 
 def test_tune_trial_uses_lower_quartile(identity_spec, monkeypatch):
@@ -95,9 +97,9 @@ def test_log_weight_is_full_density_ratio_low_dim(small_spec):
     spec_trial = build_problem(small_spec.X, small_spec.weights, trial.lambda_dagger)
     lw = chain_log_weights(chain, small_spec, None, sigma2_0, lambda_star, trial, beta0)
     for i in range(len(chain)):
-        state = state_from_arrays(chain.thetas[i], chain.active[i])
-        expected = log_density(state, beta0, Gaussian(sigma2_0), spec_target) - log_density(
-            state, beta0, Gaussian(trial.sigma2_dagger), spec_trial
+        state = chain.thetas[i], chain.active[i]
+        expected = log_density(*state, beta0, Gaussian(sigma2_0), spec_target) - log_density(
+            *state, beta0, Gaussian(trial.sigma2_dagger), spec_trial
         )
         assert lw[i] == pytest.approx(expected, abs=1e-9)
 
@@ -166,9 +168,9 @@ def test_log_weight_is_full_density_ratio_high_dim():
         one_row_chain(state_active), spec, basis, sigma2_0, lambda_star, trial, beta0
     )
     expected = log_density_rowspace(
-        state_active, beta0, Gaussian(sigma2_0), spec_target, basis
+        *state_active, beta0, Gaussian(sigma2_0), spec_target, basis
     ) - log_density_rowspace(
-        state_active, beta0, Gaussian(trial.sigma2_dagger), spec_trial, basis
+        *state_active, beta0, Gaussian(trial.sigma2_dagger), spec_trial, basis
     )
     assert lw == pytest.approx(expected, abs=1e-10)
 
@@ -178,9 +180,9 @@ def test_log_weight_is_full_density_ratio_high_dim():
         one_row_chain(state_empty), spec, basis, sigma2_0, lambda_star, trial, beta0
     )
     expected0 = log_density_rowspace(
-        state_empty, beta0, Gaussian(sigma2_0), spec_target, basis
+        *state_empty, beta0, Gaussian(sigma2_0), spec_target, basis
     ) - log_density_rowspace(
-        state_empty, beta0, Gaussian(trial.sigma2_dagger), spec_trial, basis
+        *state_empty, beta0, Gaussian(trial.sigma2_dagger), spec_trial, basis
     )
     assert lw0 == pytest.approx(expected0, abs=1e-10)
 

@@ -41,8 +41,8 @@ from lassodist.problem import synthetic_dataset
 from lassodist.samplers import _CAP_SLACK, SamplerConfig, _MhEngine, _normal_cdf
 from lassodist.solver import lambda_max
 
-from conftest import random_instance
-from oracles import assemble_jacobian, cell_probability, state_score, state_from_arrays
+from conftest import duplicated_column_design, random_instance
+from oracles import assemble_jacobian, cell_probability, state_score
 
 
 def identity_problem(lam=0.5, n=2):
@@ -92,7 +92,7 @@ def test_direct_sample_hits_phi_product_cell():
 def test_direct_sample_states_are_valid(small_spec):
     chain = direct_sample(small_spec, np.zeros(5), Gaussian(1.0), 25, 3)
     for i in range(len(chain)):
-        validate_state(state_from_arrays(chain.thetas[i], chain.active[i]), small_spec.p)
+        validate_state(chain.thetas[i], chain.active[i], small_spec.p)
     assert chain.max_kkt_residual <= 1e-8
 
 
@@ -163,8 +163,8 @@ def test_mls_rejects_wide_problem(wide_spec):
 def test_mh_chains_reject_a_singular_gram(conditional, equilibrium_init):
     """p <= n with a duplicated column: the engine's set-up raises before any sweep.
 
-    On this design the duplicate's Cholesky pivot is exactly zero, so
-    ``log_det_gram`` raises.  Exact draws do not need a PD Gram, so an
+    ``build_problem`` flags the design rank-deficient (the duplicate's
+    Cholesky pivot is exactly zero), so ``log_det_gram`` raises.  Exact draws do not need a PD Gram, so an
     equilibrium start gets as far as the engine.
     """
     X = 2.0 * np.eye(4)[:, [0, 1, 2, 1]]
@@ -181,13 +181,45 @@ def test_mh_chains_reject_a_singular_gram(conditional, equilibrium_init):
             mh_sample(spec, beta, Gaussian(1.0), config)
 
 
+@pytest.mark.parametrize("seed", [9, 11, 13])
+def test_mh_chains_reject_a_rank_deficient_design(seed):
+    """A duplicated column whose Cholesky pivot rounds to a tiny positive value.
+
+    ``build_problem`` flags these designs, yet LAPACK factors their Gram:
+    at seeds 9 and 13 the chain used to end in a raw ``LinAlgError``, and
+    at seed 11 it ran on the singular Gram without an error.
+    """
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        spec = build_problem(duplicated_column_design(seed)[0], 1.0, 0.3)
+    beta = np.array([1.0, 0.5, 0.0, 0.0, -1.0])
+    config = default_sampler_config(spec, 1, iters=20, burn_in=0)
+    with pytest.raises(NumericalError, match="rank-deficient"):
+        mh_sample(spec, beta, Gaussian(1.0), config)
+    with pytest.raises(NumericalError, match="rank-deficient"):
+        conditional_mh_sample(spec, beta, Gaussian(1.0), np.array([0, 4]), config)
+
+
+@pytest.mark.parametrize("conditional", [False, True], ids=["joint", "conditional"])
+def test_mh_chains_reject_a_nonfinite_start(small_spec, conditional):
+    """A NaN start used to pass validation and give all-NaN rows with no acceptance."""
+    config = default_sampler_config(small_spec, 3, iters=20, burn_in=0)
+    start = np.array([0.5, math.nan, 0.2, 0.0, 0.1]), np.isin(np.arange(5), [0])
+    with pytest.raises(DataError, match="finite"):
+        if conditional:
+            conditional_mh_sample(
+                small_spec, np.zeros(5), Gaussian(1.0), np.array([0]), config, init=start
+            )
+        else:
+            mh_sample(small_spec, np.zeros(5), Gaussian(1.0), config, init=start)
+
+
 def test_mls_states_remain_valid(small_spec):
     config = default_sampler_config(
         small_spec, 9, iters=300, burn_in=0, equilibrium_init=True
     )
     chain = mh_sample(small_spec, np.zeros(5), Gaussian(1.0), config)
     for i in range(0, len(chain), 37):
-        validate_state(state_from_arrays(chain.thetas[i], chain.active[i]), small_spec.p)
+        validate_state(chain.thetas[i], chain.active[i], small_spec.p)
 
 
 @pytest.mark.parametrize("sigma2_hat", [math.nan, math.inf])
@@ -356,7 +388,7 @@ def test_conditional_init_takes_first_matching_draw(small_spec):
         if np.array_equal(fit.active, target):
             break
     assert tries == 80
-    start = state_from_arrays(np.where(target, fit.beta_hat, fit.subgrad), target)
+    start = np.where(target, fit.beta_hat, fit.subgrad), target
     ref = conditional_mh_sample(
         small_spec, beta, model, A, replace(config, equilibrium_init=False), init=start
     )
