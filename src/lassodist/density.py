@@ -99,17 +99,24 @@ ErrorModel = Gaussian | StudentT | EmpiricalElliptical
 
 def log_unit_ball_volume(dim: int) -> float:
     """log volume of the unit ball in R^dim."""
-    from scipy.special import gammaln
+    return 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
 
-    return 0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim + 1.0)
+
+def _log_upper_gamma_q(dim: int, x: float) -> float:
+    """log Q(dim, x), the regularized upper incomplete gamma at integer ``dim``.
+
+    Q(dim, x) = e^{-x} sum_{k<dim} x^k / k!, summed in log space with a
+    max-shift, so the result stays finite where Q itself underflows.
+    """
+    log_terms = np.concatenate(([0.0], np.cumsum(np.log(x / np.arange(1.0, dim)))))
+    top = float(log_terms.max())
+    return -x + top + math.log(float(np.sum(np.exp(log_terms - top))))
 
 
 def radial_log_norm(
     edges: np.ndarray, counts: np.ndarray, dim: int, tail_slope: float, tail_intercept: float
 ) -> float:
     """Log normalizing constant of the piecewise radial density in R^dim."""
-    from scipy.special import gammaincc, gammaln, logsumexp
-
     log_cp = log_unit_ball_volume(dim)
     interior = log_cp + math.log(float(np.sum(counts)))
     if not math.isfinite(tail_slope) or tail_slope >= 0:
@@ -121,11 +128,11 @@ def radial_log_norm(
         tail_intercept
         + math.log(dim)
         + log_cp
-        + gammaln(dim)
-        + math.log(gammaincc(dim, -tail_slope * h_last))
+        + math.lgamma(dim)
+        + _log_upper_gamma_q(dim, -tail_slope * h_last)
         - dim * math.log(-tail_slope)
     )
-    return float(logsumexp([interior, tail]))
+    return float(np.logaddexp(interior, tail))
 
 
 def radial_log_pdf(model: EmpiricalElliptical, radius: float) -> float:
@@ -301,10 +308,11 @@ def inactive_null_basis(
     target_dim = spec.n - n_active
     if target_dim < 0:
         raise ConfigError("active set larger than n has no constrained density")
-    from scipy.linalg import null_space
-
     M = basis.null_basis[inactive, :].T * spec.weights[inactive]
-    B = null_space(M)
+    _, sv, vh = np.linalg.svd(M)
+    # scipy.linalg.null_space's rank rule: singular values above max(M, N) eps s_max.
+    rank = int(np.sum(sv > max(M.shape) * np.finfo(float).eps * np.max(sv, initial=0.0)))
+    B = vh[rank:].T
     if B.shape != (inactive.size, target_dim):
         raise NumericalError(
             "null-space dimension mismatch: design violates the "
@@ -317,6 +325,7 @@ def rowspace_residual(
     theta: np.ndarray, active: np.ndarray, basis: SpectralBasis, spec: ProblemSpec
 ) -> float:
     """Max-norm violation of the row-space constraint on the subgradient."""
+    validate_state(theta, active, spec.p)
     subgrad = np.where(active, np.sign(theta), theta)
     v = basis.null_basis.T @ (spec.weights * subgrad)
     return float(np.max(np.abs(v), initial=0.0))

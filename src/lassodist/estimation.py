@@ -169,20 +169,6 @@ def fit_elliptical_model(
     )
 
 
-def _checked_lu(mat: np.ndarray, what: str):
-    from scipy.linalg import LinAlgWarning, lu_factor
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            fac = lu_factor(mat)
-        except (ValueError, LinAlgWarning) as exc:
-            raise NumericalError(f"{what} is singular") from exc
-    if np.any(np.abs(np.diag(fac[0])) == 0.0):
-        raise NumericalError(f"{what} is singular")
-    return fac
-
-
 def threshold_estimator(beta_hat: np.ndarray, b_th: float) -> np.ndarray:
     """Hard-threshold the estimate: keep entries strictly above ``b_th``."""
     check_positive("threshold b_th", b_th)
@@ -217,15 +203,14 @@ def sign_consistency_prob(
     inactive = np.nonzero(beta0 == 0)[0]
     k = support.size
 
-    from scipy.linalg import lu_solve
-
     # Affine center of the mapped score, active block then inactive block.
     mu = np.zeros(spec.p)
     if k:
-        caa = spec.gram[np.ix_(support, support)]
-        caa_fac = _checked_lu(caa, "active Gram block")
         ws = spec.weights[support] * signs
-        caa_inv_ws = lu_solve(caa_fac, ws)
+        try:
+            caa_inv_ws = np.linalg.solve(spec.gram[np.ix_(support, support)], ws)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("active Gram block is singular") from exc
         if not np.all(np.isfinite(caa_inv_ws)):
             raise NumericalError("active Gram block is singular")
         mu[:k] = beta0[support] - spec.lam * caa_inv_ws
@@ -234,7 +219,11 @@ def sign_consistency_prob(
                 spec.gram[np.ix_(inactive, support)] @ caa_inv_ws
             ) / spec.weights[inactive]
 
-    d_fac = _checked_lu(_assemble_jacobian(support, spec), "state-to-score Jacobian")
+    jac = _assemble_jacobian(support, spec)
+    # slogdet's LU meets an exactly zero pivot where solve's does, so a
+    # singular Jacobian fails here, before the first draw.
+    if np.linalg.slogdet(jac)[0] == 0.0:
+        raise NumericalError("state-to-score Jacobian is singular")
 
     rng = generator(seed)
     sd = math.sqrt(sigma2)
@@ -245,7 +234,7 @@ def sign_consistency_prob(
         m = min(block, L - done)
         eps = sd * rng.standard_normal((m, spec.n))
         scores = eps @ spec.X / spec.n
-        z = lu_solve(d_fac, scores.T).T + mu
+        z = np.linalg.solve(jac, scores.T).T + mu
         ok = np.all(np.abs(z[:, k:]) <= 1.0, axis=1)
         if k:
             ok &= np.all(z[:, :k] * signs > 0.0, axis=1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 from scipy.stats import multivariate_normal, ortho_group
 
 from lassodist import (
@@ -23,8 +23,10 @@ from lassodist import (
     rowspace_residual,
     solve_lasso,
     spectral_decompose,
+    synthetic_dataset,
 )
 from lassodist.density import (
+    _log_upper_gamma_q,
     log_det_rowspace_jacobian,
     qform_log_density,
     radial_log_norm,
@@ -206,6 +208,15 @@ def test_densities_reject_a_nonfinite_state(small_spec, wide_spec):
         )
 
 
+def test_rowspace_residual_rejects_a_nonfinite_state():
+    """A NaN subgradient gave a NaN residual, which a ``> tol`` check reads as satisfied."""
+    spec = build_problem(synthetic_dataset(4, 7, seed=29)[0], 1.0, 0.3)
+    theta = np.full(spec.p, 0.1)
+    theta[2] = math.nan
+    with pytest.raises(DataError, match="finite"):
+        rowspace_residual(theta, np.zeros(spec.p, dtype=bool), spectral_decompose(spec), spec)
+
+
 def test_inactive_null_basis_rank_one():
     spec = build_problem(np.array([[1.0, 1.0]]), 1.0, 0.3)
     basis = spectral_decompose(spec)
@@ -322,6 +333,30 @@ def test_radial_model_single_bin_is_flat():
     c3 = math.pi**1.5 / math.gamma(2.5)
     mass = c3 * 2.0**3 * math.exp(v1)
     assert mass == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "dim, slope, want",
+    [(1, -1000.0, math.log(10.0)), (5, -800.0, math.log(8.0 * math.pi**2 / 3.0))],
+)
+def test_radial_log_norm_is_finite_where_gammaincc_underflows(dim, slope, want):
+    """Q(dim, -slope) underflows, so the norm is the interior mass alone.
+
+    That mass is V_dim times the 5 counted points, with V_1 = 2 and
+    V_5 = 8 pi^2 / 15.  scipy's ``gammaincc`` returns 0 there, and taking
+    its log raised ValueError.
+    """
+    got = radial_log_norm(np.array([0.0, 0.5, 1.0]), np.array([3.0, 2.0]), dim, slope, 0.0)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 200), st.floats(1e-3, 800.0))
+def test_log_upper_gamma_q_matches_gammaincc(dim, x):
+    """The closed form of log Q(dim, x) agrees with scipy where Q is a normal float."""
+    q = float(gammaincc(dim, x))
+    if q >= np.finfo(float).tiny:
+        assert abs(_log_upper_gamma_q(dim, x) - math.log(q)) <= 1e-12
 
 
 @pytest.mark.parametrize(

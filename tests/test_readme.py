@@ -17,8 +17,9 @@ def _files(out: Path) -> dict[str, bytes]:
     return {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
 
 
-def test_readme_steps_and_variations_run(tmp_path):
-    data = tmp_path / "data"
+def readme_runs(root: Path) -> list[tuple[str, tuple]]:
+    """(output directory name under ``root``, CLI argv) of every README run, in order."""
+    data = root / "data"
     xy = ("--x", data / "X.csv", "--y", data / "y.csv")
     tail = ("--x", data / "X.csv", "--null-beta", "zero", "--sigma2", 1.0)
 
@@ -26,12 +27,12 @@ def test_readme_steps_and_variations_run(tmp_path):
         return ("sample-joint", *xy, "--lambda-frac", 0.3, "--lambda-grid", 50,
                 "--method", "mls", *law, "--iters", 200, "--burnin", 20, "--seed", 12, *change)
 
-    runs = [
+    return [
         ("data", ("gen-data", "--n", 100, "--p", 20, "--rho", 0.25, "--sigma2", 1.0,
                   "--signal", 6, "--seed", 11)),
         ("run", step2()),
-        ("run", ("diagnose", "--chain", tmp_path / "run/chain.csv",
-                 "--meta", tmp_path / "run/chain_meta.json", "--g", "l1", "--hist-coord", 0)),
+        ("run", ("diagnose", "--chain", root / "run/chain.csv",
+                 "--meta", root / "run/chain_meta.json", "--g", "l1", "--hist-coord", 0)),
         ("cond", ("sample-cond", *xy, "--lambda", 0.25, "--active", "0,1,2", "--sigma2", 1.0,
                   "--iters", 200, "--burnin", 20, "--seed", 13)),
         ("tail", ("pvalue", *tail, "--lambda-star", 0.25, "--stat", "linf", "--t-star", 0.25,
@@ -51,7 +52,10 @@ def test_readme_steps_and_variations_run(tmp_path):
         ("estimate-sigma2", step2(law=("--estimate-sigma2",))),
         ("equilibrium-init", step2("--equilibrium-init")),
     ]
-    for name, argv in runs:
+
+
+def test_readme_steps_and_variations_run(tmp_path):
+    for name, argv in readme_runs(tmp_path):
         out = tmp_path / name
         before = _files(out)
         assert main([str(a) for a in (*argv, "--out-dir", out)]) == 0, name
