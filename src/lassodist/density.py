@@ -293,7 +293,7 @@ def log_density(
     validate_state(theta, active, spec.p)
     qform = float(score_qform(scores(theta, active, beta, spec), spec))
     log_f = qform_log_density(model, spec.p, spec.log_det_gram, spec.n)
-    return log_f(qform) + log_det_jacobian(np.flatnonzero(active), spec)
+    return log_f(qform) + log_det_jacobian(active, spec)
 
 
 def inactive_null_basis(

@@ -7,6 +7,7 @@ the state-to-score map, used by the densities and by every MH move.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,9 +70,19 @@ class ProblemSpec:
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
-        """Inverse Gram matrix, from one ``gram_solve`` of the identity."""
+        """Inverse Gram matrix, from one ``gram_solve`` of the identity.
+
+        On a Gram that Cholesky accepts but that is singular to working
+        precision, rounding can leave a diagonal entry of the inverse
+        non-positive; that raises NumericalError, as a failed Cholesky does.
+        """
         inv = self.gram_solve(np.eye(self.p))
-        return (inv + inv.T) / 2.0
+        inv = (inv + inv.T) / 2.0
+        if not np.all(np.diag(inv) > 0.0):
+            raise NumericalError(
+                "Gram matrix is numerically singular: its inverse has a non-positive diagonal"
+            )
+        return inv
 
     @cached_property
     def log_det_gram(self) -> float:
@@ -188,7 +199,13 @@ def spectral_decompose(spec: ProblemSpec) -> SpectralBasis:
 
 
 def _active_mask(A: np.ndarray, p: int) -> np.ndarray:
-    idx = np.asarray(A, dtype=int).ravel()
+    """Boolean (p,) mask of an active set given by its indices or by such a mask."""
+    A = np.asarray(A)
+    if A.dtype == bool:
+        if A.shape != (p,):
+            raise ConfigError(f"an active-set mask must have shape ({p},), got {A.shape}")
+        return A
+    idx = A.astype(int).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= p):
         raise ConfigError(f"active-set indices must lie in [0, {p})")
     mask = np.zeros(p, dtype=bool)
@@ -202,7 +219,9 @@ def log_det_jacobian(A: np.ndarray, spec: ProblemSpec) -> float:
     """Log absolute determinant of the state-to-score Jacobian for active set A.
 
     Equals ``log det C_AA + |I| log(lam) + sum_{j notin A} log w_j`` where I
-    is the inactive set.  One factorisation of the active Gram block, so a
+    is the inactive set.  ``A`` holds the active indices or is the (p,)
+    bool mask of a state; a mask skips the index checks, which is what the
+    MH chains pass.  One factorisation of the active Gram block, so a
     one-coordinate move's determinant ratio is the difference of two calls.
 
     Raises
@@ -211,12 +230,13 @@ def log_det_jacobian(A: np.ndarray, spec: ProblemSpec) -> float:
         If the active Gram block is singular.
     """
     mask = _active_mask(A, spec.p)
-    k = int(np.count_nonzero(mask))
+    block = spec.gram[mask][:, mask]
     logdet = 0.0
-    if k:
-        sign, logdet = np.linalg.slogdet(spec.gram[mask][:, mask])
-        if sign <= 0 or not np.isfinite(logdet):
+    if block.size:
+        sign, logdet = np.linalg.slogdet(block)
+        if sign <= 0 or not math.isfinite(logdet):
             raise NumericalError("active Gram block is singular")
+    k = block.shape[0]
     return float(logdet + (spec.p - k) * np.log(spec.lam) + np.log(spec.weights[~mask]).sum())
 
 

@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 Seed = int | np.random.SeedSequence
 
 
 def seed_sequence(seed: Seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    if int(seed) < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return np.random.SeedSequence(int(seed))
 
 

@@ -3,10 +3,14 @@
 Exact direct sampling (simulate noise, re-solve), and two
 Metropolis-Hastings chains for a fixed design: over the full augmented
 space, and conditioned on a fixed active set.  The chains share one
-start-up and run loop (``_mh_chain``), one sweep (``_MhEngine.sweep``; a
-conditional chain sweeps with no add/drop coordinates) and one move
-kernel that accepts every coefficient, subgradient, drop and add
-proposal (``_MhEngine._move``).
+start-up (``_mh_chain``) and one loop that makes every sweep and every
+coefficient, subgradient, drop and add move of a chain
+(``_MhEngine.run``; a conditional chain sweeps with no add/drop
+coordinates).  What is fixed for the chain is computed once, before the
+first sweep; a sweep draws its random inputs as three or four vectors;
+a move is scalar Python arithmetic, and only an accepted one touches a
+numpy vector.  The chains are bit-identical to the per-move reference
+engine in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -205,25 +209,35 @@ def direct_sample(
 
 
 class _MhEngine:
-    """Mutable chain state of the MH samplers and their one move kernel.
+    """The one MH sweep loop of both samplers, over state held in Python scalars.
 
-    Built once for one design: the constructor builds f
-    (``qform_log_density``) and caches diag C, diag C^{-1} and lam w.
-    ``set_state`` computes the score image ``H`` of the state,
-    ``G = C^{-1} H``, ``q = H'G`` (the Mahalanobis form the log-likelihood
-    ``loglik = f(q)`` depends on), and the log Jacobian ``log_jac`` of the
-    active set.
+    Per chain, the constructor builds the error model's log density f of q
+    (``qform_log_density``), and ``run`` computes the rows of C and C^{-1}
+    (which are also their columns, as both are exactly symmetric), diag C,
+    diag C^{-1}, lam w, the add/drop caps and the proposals' log normal
+    constants before its first sweep.  ``run`` then makes every sweep of the
+    chain in one loop.  It holds theta and the active set as Python lists,
+    the score image ``H`` of the state and ``G = C^{-1} H`` as numpy
+    vectors, and ``q = H'G`` (the Mahalanobis form the log-likelihood
+    ``f(q)`` depends on) and the log Jacobian ``log_jac`` of the active set
+    as floats.
 
-    Every proposal goes through ``_move``.  A move on coordinate j changes
-    the coefficient by db and the penalty term lam w_j s_j by d = lam w_j ds,
-    so H' = H + db C_j + d e_j and G' = G + db e_j + d (C^{-1})_j.  Since
-    C_j'G = H_j and (C^{-1})_j'H = G_j, the candidate form is q + dq with
+    Per sweep, the loop draws its inputs: for a joint chain the K add/drop
+    coordinates (``random(p)``, top-K Gumbel keys of log alpha), then
+    ``standard_normal(p)``, ``uniform(-1, 1, p)`` and ``random(p)`` for log u.
+    It visits the add/drop coordinates and then the rest, each in ascending
+    order.  A conditional chain (K = 0) draws no add/drop coordinates.
+
+    Per move on coordinate j: the move changes the coefficient by db and the
+    penalty term lam w_j s_j by d = lam w_j ds, so H' = H + db C_j + d e_j and
+    G' = G + db e_j + d (C^{-1})_j.  Since C_j'G = H_j and (C^{-1})_j'H = G_j,
+    the candidate form is q + dq with
 
         dq = 2 (db H_j + d G_j) + db^2 C_jj + 2 db d + d^2 (C^{-1})_jj,
 
     a scalar computed with no array.  Only an accepted move updates H and G
-    (in place) and then resets q = H'G and loglik = f(q), so rounding in dq
-    never accumulates.
+    (in place) and then resets q = H'G and f(q), so rounding in dq never
+    accumulates.
 
     An add/drop move also flips j's membership, adding proposal terms and
     a determinant term to the log ratio; the latter is bounded before it is
@@ -247,151 +261,113 @@ class _MhEngine:
     ) -> None:
         self.spec = spec
         self.beta = np.asarray(beta, dtype=float)
-        self.tau = np.asarray(tau, dtype=float).tolist()
-        self.accepts = dict.fromkeys(MOVE_KINDS, 0)
-        self.attempts = dict.fromkeys(MOVE_KINDS, 0)
         # log_det_gram raises NumericalError when the Gram is not PD.
         self.log_f = qform_log_density(model, spec.p, spec.log_det_gram, spec.n)
-        self.c_diag = np.diag(spec.gram).tolist()
-        self.cinv_diag = np.diag(spec.gram_inv).tolist()
-        self.lw = (spec.lam * spec.weights).tolist()
+        self.tau = np.asarray(tau, dtype=float).tolist()
 
-    def set_state(self, theta: np.ndarray, active: np.ndarray) -> None:
-        spec = self.spec
-        self.theta = np.array(theta, dtype=float)
-        self.active = np.array(active, dtype=bool)
-        self.H = scores(self.theta, self.active, self.beta, spec)
-        self.G = spec.gram_inv @ self.H
-        self._settle()
-        self.log_jac = log_det_jacobian(np.flatnonzero(self.active), spec)
+    def run(
+        self, theta: np.ndarray, active: np.ndarray, rng: np.random.Generator,
+        iters: int, burn_in: int, log_alpha: np.ndarray, K: int,
+    ) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+        """All sweeps from (theta, active): the rows kept after ``burn_in``.
 
-    def _settle(self) -> None:
-        self.q = float(self.H @ self.G)
-        self.loglik = self.log_f(self.q)
-
-    def _move(
-        self, kind: str, j: int, value: float, db: float, d: float, log_u: float,
-        toggle: tuple[float, float, float] | None = None,
-    ) -> None:
-        """Set theta_j = value if log u passes the move's log MH ratio.
-
-        ``toggle = (plus, minus, cap)`` marks an add/drop move: its ratio
-        gains ``plus - minus`` from the proposal densities and the
-        determinant term that ``cap`` bounds.
+        Also returns the proposals and the accepted moves per kind, in
+        ``MOVE_KINDS`` order.
         """
-        H, G = self.H, self.G
-        dq = (
-            2.0 * (db * H.item(j) + d * G.item(j))
-            + db * db * self.c_diag[j]
-            + 2.0 * db * d
-            + d * d * self.cinv_diag[j]
-        )
-        log_ratio = self.log_f(self.q + dq) - self.loglik
-        if toggle is not None:
-            plus, minus, cap = toggle
-            if log_u > log_ratio + plus - minus + cap + _CAP_SLACK:
-                return
-            mask = self.active.copy()
-            mask[j] = not mask[j]
-            try:
-                log_jac_new = log_det_jacobian(np.flatnonzero(mask), self.spec)
-            except NumericalError:
-                return
-            log_ratio = log_ratio + (log_jac_new - self.log_jac) + plus - minus
-        if log_u <= log_ratio:
-            spec = self.spec
-            self.theta[j] = value
-            if db != 0.0:
-                H += spec.gram[:, j] * db
-                G[j] += db
-            if d != 0.0:
-                H[j] += d
-                G += d * spec.gram_inv[:, j]
-            if toggle is not None:
-                self.active[j] = not self.active[j]
-                self.log_jac = log_jac_new
-            self._settle()
-            self.accepts[kind] += 1
-
-    def coef_update(self, j: int, b_new: float, log_u: float) -> None:
-        self.attempts[COEF_UPDATE] += 1
-        if b_new != 0.0:
-            b_old = self.theta.item(j)
-            ds = math.copysign(1.0, b_new) - math.copysign(1.0, b_old)
-            self._move(COEF_UPDATE, j, b_new, b_new - b_old, self.lw[j] * ds, log_u)
-
-    def subgrad_update(self, j: int, s_new: float, log_u: float) -> None:
-        self.attempts[SUBGRAD_UPDATE] += 1
-        d = self.lw[j] * (s_new - self.theta.item(j))
-        self._move(SUBGRAD_UPDATE, j, s_new, 0.0, d, log_u)
-
-    def drop_coord(self, j: int, s_new: float, log_u: float) -> None:
-        self.attempts[DROP_COORD] += 1
-        b_old, lw = self.theta.item(j), self.lw[j]
-        d = lw * (s_new - math.copysign(1.0, b_old))
-        toggle = (_normal_logpdf(b_old, self.tau[j]), _LOG_HALF, math.log(self.cinv_diag[j] * lw))
-        self._move(DROP_COORD, j, s_new, -b_old, d, log_u, toggle)
-
-    def add_coord(self, j: int, b_new: float, log_u: float) -> None:
-        self.attempts[ADD_COORD] += 1
-        if b_new != 0.0:
-            lw = self.lw[j]
-            d = lw * (math.copysign(1.0, b_new) - self.theta.item(j))
-            toggle = (_LOG_HALF, _normal_logpdf(b_new, self.tau[j]), math.log(self.c_diag[j] / lw))
-            self._move(ADD_COORD, j, b_new, b_new, d, log_u, toggle)
-
-    def sweep(
-        self,
-        model_mask: np.ndarray,
-        normals: np.ndarray,
-        unifs: np.ndarray,
-        log_u: np.ndarray,
-    ) -> None:
-        """One sweep: add/drop on the ``model_mask`` coordinates, then the rest.
-
-        A conditional chain passes an all-False mask, so every coordinate
-        gets a coefficient or subgradient update and the active set stays.
-        """
-        p = self.theta.shape[0]
-        # Moves take Python floats: scalar arithmetic on numpy scalars costs
-        # several times more, and the values are the same doubles.
-        normals, unifs, log_u = normals.tolist(), unifs.tolist(), log_u.tolist()
-        model_mask = model_mask.tolist()
-        for j in range(p):
-            if not model_mask[j]:
-                continue
-            if self.active[j]:
-                self.drop_coord(j, unifs[j], log_u[j])
-            else:
-                self.add_coord(j, self.tau[j] * normals[j], log_u[j])
-        for j in range(p):
-            if model_mask[j]:
-                continue
-            if self.active[j]:
-                self.coef_update(j, self.theta.item(j) + self.tau[j] * normals[j], log_u[j])
-            else:
-                self.subgrad_update(j, unifs[j], log_u[j])
-
-
-def _normal_logpdf(x: float, sd: float) -> float:
-    return -0.5 * math.log(2.0 * math.pi) - math.log(sd) - 0.5 * (x / sd) ** 2
-
-
-def _weighted_subset(
-    log_alpha: np.ndarray, K: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Boolean mask of K coordinates sampled without replacement prop. to alpha.
-
-    Top-K of Gumbel-perturbed log-weights is distributed exactly as
-    sequential draws without replacement with renormalization.
-    """
-    p = log_alpha.shape[0]
-    u = rng.random(p)
-    with np.errstate(divide="ignore"):
-        keys = log_alpha - np.log(-np.log(u))
-    mask = np.zeros(p, dtype=bool)
-    mask[np.argpartition(keys, p - K)[p - K :]] = True
-    return mask
+        spec, log_f, tau, p = self.spec, self.log_f, self.tau, self.spec.p
+        c_rows, cinv_rows = list(spec.gram), list(spec.gram_inv)
+        c_diag, cinv_diag = np.diag(spec.gram).tolist(), np.diag(spec.gram_inv).tolist()
+        lws = (spec.lam * spec.weights).tolist()
+        add_cap = [math.log(c / lw) for c, lw in zip(c_diag, lws)]
+        drop_cap = [math.log(c * lw) for c, lw in zip(cinv_diag, lws)]
+        # The first two terms of the proposals' normal log density.
+        log_norm = [-0.5 * math.log(2.0 * math.pi) - math.log(sd) for sd in tau]
+        mask = np.array(active, dtype=bool)
+        H = scores(np.asarray(theta, dtype=float), mask, self.beta, spec)
+        G = spec.gram_inv @ H
+        q = float(H @ G)
+        loglik = log_f(q)
+        log_jac = log_det_jacobian(mask, spec)
+        # The active set twice: a list for scalar reads, a mask for log_det_jacobian.
+        theta, act = np.array(theta, dtype=float).tolist(), mask.tolist()
+        h_at, g_at, copysign = H.item, G.item, math.copysign
+        tried, accepted = [0] * 4, [0] * 4  # indexed by kind, the MOVE_KINDS position
+        kept_theta = np.empty((iters - burn_in, p))
+        kept_active = np.empty(kept_theta.shape, dtype=bool)
+        order = list(range(p))
+        # A uniform draw of exactly 0 gives an infinite Gumbel key, not a warning.
+        with np.errstate(divide="ignore"):
+            for t in range(iters):
+                if K:
+                    # Top-K Gumbel keys: K draws without replacement, prop. to alpha.
+                    keys = log_alpha - np.log(-np.log(rng.random(p)))
+                    toggles = sorted(keys.argpartition(p - K)[p - K :].tolist())
+                    chosen = set(toggles)
+                    order = toggles + [j for j in range(p) if j not in chosen]
+                normals = rng.standard_normal(p).tolist()
+                unifs = rng.uniform(-1.0, 1.0, p).tolist()
+                log_u = np.log(rng.random(p)).tolist()
+                for visit, j in enumerate(order):
+                    lw, toggle = lws[j], visit < K
+                    if toggle and act[j]:
+                        kind, b_old, value = 2, theta[j], unifs[j]
+                        db, d = -b_old, lw * (value - copysign(1.0, b_old))
+                        plus, minus = log_norm[j] - 0.5 * (b_old / tau[j]) ** 2, _LOG_HALF
+                        cap = drop_cap[j]
+                    elif toggle:
+                        kind, value = 3, tau[j] * normals[j]
+                        db, d = value, lw * (copysign(1.0, value) - theta[j])
+                        plus, minus = _LOG_HALF, log_norm[j] - 0.5 * (value / tau[j]) ** 2
+                        cap = add_cap[j]
+                    elif act[j]:
+                        kind, b_old = 0, theta[j]
+                        value = b_old + tau[j] * normals[j]
+                        db = value - b_old
+                        d = lw * (copysign(1.0, value) - copysign(1.0, b_old))
+                    else:
+                        kind, value, db = 1, unifs[j], 0.0
+                        d = lw * (value - theta[j])
+                    tried[kind] += 1
+                    if value == 0.0 and toggle != act[j]:
+                        continue  # a zero coefficient: counted, and no state to move to
+                    dq = (
+                        2.0 * (db * h_at(j) + d * g_at(j))
+                        + db * db * c_diag[j]
+                        + 2.0 * db * d
+                        + d * d * cinv_diag[j]
+                    )
+                    log_ratio = log_f(q + dq) - loglik
+                    if toggle:
+                        # plus and minus (proposal log densities) are added one at a
+                        # time, so every sum rounds as it always has.
+                        if log_u[j] > log_ratio + plus - minus + cap + _CAP_SLACK:
+                            continue
+                        flipped = mask.copy()
+                        flipped[j] = not act[j]
+                        try:
+                            log_jac_new = log_det_jacobian(flipped, spec)
+                        except NumericalError:
+                            continue
+                        log_ratio = log_ratio + (log_jac_new - log_jac) + plus - minus
+                    if not log_u[j] <= log_ratio:
+                        continue
+                    theta[j] = value
+                    if db != 0.0:
+                        H += c_rows[j] * db
+                        G[j] += db
+                    if d != 0.0:
+                        H[j] += d
+                        G += d * cinv_rows[j]
+                    if toggle:
+                        act[j] = mask[j] = not act[j]
+                        log_jac = log_jac_new
+                    q = float(H.dot(G))  # H @ G, at half the call cost
+                    loglik = log_f(q)
+                    accepted[kind] += 1
+                if t >= burn_in:
+                    kept_theta[t - burn_in] = theta
+                    kept_active[t - burn_in] = act
+        return kept_theta, kept_active, tried, accepted
 
 
 def _initial_state(
@@ -454,30 +430,18 @@ def _mh_chain(
     theta0, active0, burn_in = _initial_state(
         spec, beta, model, config, init, init_seed, target, max_init_draws
     )
-    engine = _MhEngine(spec, beta, model, config.tau)
-    engine.set_state(theta0, active0)
-    rng = generator(moves_seq)
-    p = spec.p
-    log_alpha = np.log(np.asarray(config.alpha, dtype=float))
-    fixed = np.zeros(p, dtype=bool)
-    thetas = np.empty((config.iters - burn_in, p))
-    active = np.empty(thetas.shape, dtype=bool)
-    for t in range(config.iters):
-        model_mask = fixed if target is not None else _weighted_subset(log_alpha, config.K, rng)
-        normals = rng.standard_normal(p)
-        unifs = rng.uniform(-1.0, 1.0, p)
-        log_u = np.log(rng.random(p))
-        engine.sweep(model_mask, normals, unifs, log_u)
-        if t >= burn_in:
-            thetas[t - burn_in] = engine.theta
-            active[t - burn_in] = engine.active
-    tried = {k: v for k, v in engine.attempts.items() if v > 0}
+    K = 0 if target is not None else config.K
+    thetas, active, tried, accepted = _MhEngine(spec, beta, model, config.tau).run(
+        theta0, active0, generator(moves_seq), config.iters, burn_in,
+        np.log(np.asarray(config.alpha, dtype=float)), K,
+    )
+    proposed = [i for i in range(4) if tried[i]]
     return Chain(
         thetas=thetas,
         active=active,
         iterations=np.arange(burn_in + 1, config.iters + 1),
-        accept_counts={k: engine.accepts.get(k, 0) for k in tried},
-        proposal_counts=tried,
+        accept_counts={MOVE_KINDS[i]: accepted[i] for i in proposed},
+        proposal_counts={MOVE_KINDS[i]: tried[i] for i in proposed},
         seed=config.seed if isinstance(config.seed, int) else None,
     )
 

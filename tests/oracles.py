@@ -3,7 +3,10 @@
 Everything here is deliberately naive: sign-pattern enumeration instead
 of coordinate descent, dense matrix assembly instead of incremental
 updates, quadrature instead of sampling.  Tests compare the package
-against these, never against itself.
+against these, never against itself.  The one exception is
+``ReferenceMhEngine``: the MH move kernel one proposal at a time, which
+shares the sampler's density kernel, seeds and start, and against which
+the sampler's inlined sweep loop is required to be bit-identical.
 """
 from __future__ import annotations
 
@@ -12,6 +15,12 @@ import math
 
 import numpy as np
 from scipy.stats import norm
+
+from lassodist import samplers
+from lassodist.density import qform_log_density, scores
+from lassodist.errors import NumericalError
+from lassodist.problem import _active_mask
+from lassodist.rng import generator, seed_sequence
 
 
 def enumerate_lasso(
@@ -374,3 +383,194 @@ def lasso_homotopy(
     grad = c - C @ beta
     subgrad = np.where(active, sign, np.clip(grad / (lam * w), -1.0, 1.0))
     return beta, subgrad
+
+
+_LOG_HALF = math.log(0.5)
+
+
+def _normal_logpdf(x: float, sd: float) -> float:
+    return -0.5 * math.log(2.0 * math.pi) - math.log(sd) - 0.5 * (x / sd) ** 2
+
+
+class ReferenceMhEngine:
+    """The MH move kernel one proposal at a time: the scalar reference of the sweep loop.
+
+    ``lassodist.samplers._MhEngine.run`` makes every sweep of a chain in one
+    inlined loop; this class makes the same moves through one method per
+    proposal kind and one shared ``_move``, with the state in numpy arrays,
+    and ``reference_mh_chain`` feeds it the same random draws.  Chains from
+    the two must be bit-identical.  The log-determinant is looked up on the
+    sampler module at call time, so a test that replaces it there reaches
+    both implementations.
+
+    ``set_state`` computes the score image ``H``, ``G = C^{-1} H``,
+    ``q = H'G``, ``loglik = f(q)`` and ``log_jac``.  A move on j that
+    changes the coefficient by db and lam w_j s_j by d has candidate form
+    q + dq with dq = 2 (db H_j + d G_j) + db^2 C_jj + 2 db d + d^2 (C^{-1})_jj.
+    An add/drop proposal is rejected at once when log u exceeds the rest of
+    its ratio plus the Schur cap (``log(C_jj / (lam w_j))`` for an add,
+    ``log((C^{-1})_jj lam w_j)`` for a drop) plus ``_CAP_SLACK``; otherwise
+    the exact ratio, with a fresh log-determinant, decides, and a singular
+    new active block rejects.
+    """
+
+    def __init__(self, spec, beta, model, tau) -> None:
+        self.spec = spec
+        self.beta = np.asarray(beta, dtype=float)
+        self.tau = np.asarray(tau, dtype=float).tolist()
+        self.accepts = dict.fromkeys(samplers.MOVE_KINDS, 0)
+        self.attempts = dict.fromkeys(samplers.MOVE_KINDS, 0)
+        self.log_f = qform_log_density(model, spec.p, spec.log_det_gram, spec.n)
+        self.c_diag = np.diag(spec.gram).tolist()
+        self.cinv_diag = np.diag(spec.gram_inv).tolist()
+        self.lw = (spec.lam * spec.weights).tolist()
+
+    def set_state(self, theta, active) -> None:
+        spec = self.spec
+        self.theta = np.array(theta, dtype=float)
+        self.active = np.array(active, dtype=bool)
+        self.H = scores(self.theta, self.active, self.beta, spec)
+        self.G = spec.gram_inv @ self.H
+        self._settle()
+        self.log_jac = samplers.log_det_jacobian(np.flatnonzero(self.active), spec)
+
+    def _settle(self) -> None:
+        self.q = float(self.H @ self.G)
+        self.loglik = self.log_f(self.q)
+
+    def _move(self, kind, j, value, db, d, log_u, toggle=None) -> None:
+        """Set theta_j = value if log u passes the move's log MH ratio.
+
+        ``toggle = (plus, minus, cap)`` marks an add/drop move: its ratio
+        gains ``plus - minus`` from the proposal densities and the
+        determinant term that ``cap`` bounds.
+        """
+        H, G = self.H, self.G
+        dq = (
+            2.0 * (db * H.item(j) + d * G.item(j))
+            + db * db * self.c_diag[j]
+            + 2.0 * db * d
+            + d * d * self.cinv_diag[j]
+        )
+        log_ratio = self.log_f(self.q + dq) - self.loglik
+        if toggle is not None:
+            plus, minus, cap = toggle
+            if log_u > log_ratio + plus - minus + cap + samplers._CAP_SLACK:
+                return
+            mask = self.active.copy()
+            mask[j] = not mask[j]
+            try:
+                log_jac_new = samplers.log_det_jacobian(np.flatnonzero(mask), self.spec)
+            except NumericalError:
+                return
+            log_ratio = log_ratio + (log_jac_new - self.log_jac) + plus - minus
+        if log_u <= log_ratio:
+            spec = self.spec
+            self.theta[j] = value
+            if db != 0.0:
+                H += spec.gram[:, j] * db
+                G[j] += db
+            if d != 0.0:
+                H[j] += d
+                G += d * spec.gram_inv[:, j]
+            if toggle is not None:
+                self.active[j] = not self.active[j]
+                self.log_jac = log_jac_new
+            self._settle()
+            self.accepts[kind] += 1
+
+    def coef_update(self, j, b_new, log_u) -> None:
+        self.attempts["coef_update"] += 1
+        if b_new != 0.0:
+            b_old = self.theta.item(j)
+            ds = math.copysign(1.0, b_new) - math.copysign(1.0, b_old)
+            self._move("coef_update", j, b_new, b_new - b_old, self.lw[j] * ds, log_u)
+
+    def subgrad_update(self, j, s_new, log_u) -> None:
+        self.attempts["subgrad_update"] += 1
+        d = self.lw[j] * (s_new - self.theta.item(j))
+        self._move("subgrad_update", j, s_new, 0.0, d, log_u)
+
+    def drop_coord(self, j, s_new, log_u) -> None:
+        self.attempts["drop_coord"] += 1
+        b_old, lw = self.theta.item(j), self.lw[j]
+        d = lw * (s_new - math.copysign(1.0, b_old))
+        toggle = (_normal_logpdf(b_old, self.tau[j]), _LOG_HALF, math.log(self.cinv_diag[j] * lw))
+        self._move("drop_coord", j, s_new, -b_old, d, log_u, toggle)
+
+    def add_coord(self, j, b_new, log_u) -> None:
+        self.attempts["add_coord"] += 1
+        if b_new != 0.0:
+            lw = self.lw[j]
+            d = lw * (math.copysign(1.0, b_new) - self.theta.item(j))
+            toggle = (_LOG_HALF, _normal_logpdf(b_new, self.tau[j]), math.log(self.c_diag[j] / lw))
+            self._move("add_coord", j, b_new, b_new, d, log_u, toggle)
+
+    def sweep(self, model_mask, normals, unifs, log_u) -> None:
+        """One sweep: add/drop on the ``model_mask`` coordinates, then the rest."""
+        for j in range(len(self.theta)):
+            if not model_mask[j]:
+                continue
+            if self.active[j]:
+                self.drop_coord(j, unifs[j], log_u[j])
+            else:
+                self.add_coord(j, self.tau[j] * normals[j], log_u[j])
+        for j in range(len(self.theta)):
+            if model_mask[j]:
+                continue
+            if self.active[j]:
+                self.coef_update(j, self.theta.item(j) + self.tau[j] * normals[j], log_u[j])
+            else:
+                self.subgrad_update(j, unifs[j], log_u[j])
+
+
+def weighted_subset(log_alpha: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+    """Boolean mask of K coordinates sampled without replacement prop. to alpha.
+
+    Top-K of Gumbel-perturbed log-weights is distributed exactly as
+    sequential draws without replacement with renormalization.
+    """
+    p = log_alpha.shape[0]
+    u = rng.random(p)
+    with np.errstate(divide="ignore"):
+        keys = log_alpha - np.log(-np.log(u))
+    mask = np.zeros(p, dtype=bool)
+    mask[np.argpartition(keys, p - K)[p - K :]] = True
+    return mask
+
+
+def reference_mh_chain(spec, beta, model, config, init=None, A_star=None, max_init_draws=10_000):
+    """``mh_sample`` (or, with ``A_star``, ``conditional_mh_sample``) by ``ReferenceMhEngine``.
+
+    The seeds and the starting state are the sampler's own; each sweep
+    draws its add/drop subset (joint chains only), normals, uniforms and
+    log u in the sampler's order and hands them to ``sweep``.  Returns
+    (thetas, active, accept_counts, proposal_counts) of the kept rows.
+    """
+    beta = np.asarray(beta, dtype=float)
+    target = None if A_star is None else _active_mask(A_star, spec.p)
+    init_seed, moves_seq = seed_sequence(config.seed).spawn(2)
+    theta0, active0, burn_in = samplers._initial_state(
+        spec, beta, model, config, init, init_seed, target, max_init_draws
+    )
+    engine = ReferenceMhEngine(spec, beta, model, config.tau)
+    engine.set_state(theta0, active0)
+    rng = generator(moves_seq)
+    p = spec.p
+    log_alpha = np.log(np.asarray(config.alpha, dtype=float))
+    thetas, active = [], []
+    for t in range(config.iters):
+        if target is None:
+            model_mask = weighted_subset(log_alpha, config.K, rng)
+        else:
+            model_mask = np.zeros(p, dtype=bool)
+        normals = rng.standard_normal(p).tolist()
+        unifs = rng.uniform(-1.0, 1.0, p).tolist()
+        log_u = np.log(rng.random(p)).tolist()
+        engine.sweep(model_mask, normals, unifs, log_u)
+        if t >= burn_in:
+            thetas.append(engine.theta.copy())
+            active.append(engine.active.copy())
+    tried = {k: v for k, v in engine.attempts.items() if v > 0}
+    accepted = {k: engine.accepts[k] for k in tried}
+    return np.array(thetas).reshape(-1, p), np.array(active).reshape(-1, p), accepted, tried

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -525,6 +526,82 @@ def test_failing_commands_leave_a_fresh_out_dir_absent(tmp_path, capsys):
         assert run(*argv, "--out-dir", out) == code, argv
         assert "error:" in capsys.readouterr().err
         assert not out.exists(), argv
+
+
+def _digest(directory):
+    """sha256 of every file under ``directory``, by relative path."""
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_failing_commands_leave_an_out_dir_absent_or_unchanged(tmp_path, capsys):
+    """Each failing command creates no new --out-dir and changes no byte of an existing one."""
+    data = gen_dataset(tmp_path)
+    run_dir, short_dir = tmp_path / "run", tmp_path / "short"
+    direct = ("sample-joint", "--x", data / "X.csv", "--y", data / "y.csv", "--lambda", 0.3,
+              "--sigma2", 1.0, "--method", "direct", "--seed", 7)
+    assert run(*direct, "--iters", 60, "--lambda-grid", 5, "--out-dir", run_dir) == 0
+    assert run(*direct, "--iters", 8, "--out-dir", short_dir) == 0
+    xy = ("--x", data / "X.csv", "--y", data / "y.csv", "--lambda", 0.3, "--sigma2", 1.0)
+    tail = ("--x", data / "X.csv", "--sigma2", 1.0, "--lambda-star", 0.5, "--t-star", 0.4,
+            "--L", 50, "--l-pilot", 20)
+    chain = ("diagnose", "--chain", run_dir / "chain.csv")
+    failing = [
+        (1, "sample-joint", *xy, "--method", "mls", "--K", 0, *SHORT_CHAIN, "--seed", 1),
+        (1, "sample-joint", *xy, "--method", "direct", "--lambda-grid", 0, "--iters", 20,
+         "--seed", 1),
+        (1, "sample-joint", "--x", data / "X.csv", "--y", data / "y.csv", "--lambda", 0.3,
+         "--sigma2", 0, "--method", "mls", *SHORT_CHAIN, "--seed", 1),
+        (1, "sample-cond", *xy, "--active", "7", *SHORT_CHAIN, "--seed", 1),
+        (1, "pvalue", *tail, "--replicates", 2, "--workers", 0, "--seed", 1),
+        (1, *chain, "--hist-coord", 0, "--hist-bins", 0),
+        (1, *chain, "--cost-ratio", 0),
+        (2, "diagnose", "--chain", short_dir / "chain.csv"),
+        (1, "sample-joint", *xy, "--method", "mls", *SHORT_CHAIN, "--seed", -1),
+    ]
+    existing = _digest(run_dir)
+    for i, (code, *argv) in enumerate(failing):
+        out = tmp_path / f"o{i}"
+        assert run(*argv, "--out-dir", out) == code, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+        assert not out.exists(), argv
+        assert run(*argv, "--out-dir", run_dir) == code, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+        assert _digest(run_dir) == existing, argv
+
+
+SEEDED = {
+    "gen-data": ("gen-data", "--n", 20, "--p", 5),
+    "sample-joint-mls": ("sample-joint", "--method", "mls", *SHORT_CHAIN),
+    "sample-joint-direct": ("sample-joint", "--method", "direct", "--iters", 20),
+    "sample-cond": ("sample-cond", "--active", "0", *SHORT_CHAIN),
+    "pvalue": ("pvalue", "--lambda-star", 0.5, "--t-star", 0.4, "--L", 50, "--l-pilot", 20),
+    "pvalue-multi": ("pvalue-multi", "--lambda-stars", "0.5,0.5", "--t-stars", "0.3,0.4",
+                     "--L", 50, "--l-pilot", 20),
+    "posterior-check": ("posterior-check", "--L", 20),
+}
+
+
+@pytest.mark.parametrize("command", list(SEEDED))
+def test_negative_seed_exits_one_before_writing(tmp_path, capsys, command):
+    """numpy rejects a negative seed with a bare ValueError, which used to escape ``main``."""
+    data = gen_dataset(tmp_path)
+    argv = SEEDED[command]
+    if argv[0] in ("sample-joint", "sample-cond", "posterior-check"):
+        argv = (*argv, "--x", data / "X.csv", "--y", data / "y.csv", "--lambda", 0.3)
+    if argv[0] != "gen-data":
+        argv = (*argv, "--sigma2", 1.0)
+    if argv[0].startswith("pvalue"):
+        argv = (*argv, "--x", data / "X.csv")
+    out = tmp_path / "out"
+    assert run(*argv, "--seed", -1, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a non-negative integer, got -1")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [9, 11, 13])

@@ -109,6 +109,11 @@ def test_log_det_jacobian_matches_dense_assembly():
         if sign == 0:
             continue
         assert log_det_jacobian(active, spec) == pytest.approx(expected, abs=1e-9)
+        # The state's bool mask gives the same value as its indices, bit for bit.
+        mask = np.isin(np.arange(p), active)
+        assert log_det_jacobian(mask, spec) == log_det_jacobian(active, spec)
+        with pytest.raises(ConfigError, match="mask must have shape"):
+            log_det_jacobian(np.append(mask, False), spec)
 
 
 def test_gram_cholesky_rejects_singular():

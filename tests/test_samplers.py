@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -38,11 +39,17 @@ from lassodist.density import (
 )
 from lassodist.rng import generator, seed_sequence
 from lassodist.problem import synthetic_dataset
-from lassodist.samplers import _CAP_SLACK, SamplerConfig, _MhEngine, _normal_cdf
+from lassodist.samplers import _CAP_SLACK, SamplerConfig, _normal_cdf
 from lassodist.solver import lambda_max
 
 from conftest import duplicated_column_design, random_instance
-from oracles import assemble_jacobian, cell_probability, state_score
+from oracles import (
+    ReferenceMhEngine,
+    assemble_jacobian,
+    cell_probability,
+    reference_mh_chain,
+    state_score,
+)
 
 
 def identity_problem(lam=0.5, n=2):
@@ -54,7 +61,7 @@ def mh_engine(spec, active=()):
     """An engine at theta = 0.5 on ``active``, subgradients 0 elsewhere."""
     mask = np.zeros(spec.p, dtype=bool)
     mask[list(active)] = True
-    engine = _MhEngine(spec, np.zeros(spec.p), Gaussian(1.0), np.ones(spec.p))
+    engine = ReferenceMhEngine(spec, np.zeros(spec.p), Gaussian(1.0), np.ones(spec.p))
     engine.set_state(np.where(mask, 0.5, 0.0), mask)
     return engine
 
@@ -197,6 +204,39 @@ def test_mh_chains_reject_a_rank_deficient_design(seed):
         mh_sample(spec, beta, Gaussian(1.0), config)
     with pytest.raises(NumericalError, match="rank-deficient"):
         conditional_mh_sample(spec, beta, Gaussian(1.0), np.array([0, 4]), config)
+
+
+def test_mh_chains_reject_a_gram_with_a_nonpositive_inverse_diagonal():
+    """A near-duplicate column that neither the rank check nor Cholesky catches.
+
+    Whether rounding makes a diagonal entry of the computed inverse
+    non-positive depends on the LAPACK build, so the test takes the first
+    of a few such designs where it does (on x86-64 OpenBLAS, the first,
+    with an entry near -8e15).  A joint chain used to end there in a raw
+    ``ValueError`` (the log of a drop move's cap), and a conditional chain
+    ran on that inverse without an error.
+    """
+    for seed, digits in [(2, 7.5), (18, 7.75), (4, 8.0), (26, 8.0)]:
+        gen = np.random.default_rng(seed)
+        p = int(gen.integers(2, 10))
+        X = gen.standard_normal((p + int(gen.integers(1, 25)), p))
+        X[:, 1] = X[:, 0] + 10**-digits * gen.standard_normal(X.shape[0])
+        spec = build_problem(X, 1.0, 0.3)
+        try:
+            spec.gram_cholesky  # noqa: B018
+        except NumericalError:
+            continue
+        inv = np.linalg.solve(spec.gram, np.eye(p))
+        if np.all(np.diag(inv) > 0.0):
+            continue
+        assert not spec.rank_deficient
+        config = SamplerConfig(K=p, alpha=np.ones(p), tau=np.ones(p), iters=50, burn_in=0, seed=2)
+        with pytest.raises(NumericalError, match="non-positive diagonal"):
+            mh_sample(spec, np.zeros(p), Gaussian(1.0), config)
+        with pytest.raises(NumericalError, match="non-positive diagonal"):
+            conditional_mh_sample(spec, np.zeros(p), Gaussian(1.0), np.array([2]), config)
+        return
+    pytest.skip("no candidate design gives a non-positive inverse diagonal with this LAPACK")
 
 
 @pytest.mark.parametrize("conditional", [False, True], ids=["joint", "conditional"])
@@ -535,7 +575,7 @@ def test_add_drop_decisions_match_oracle_ratio(seed, orthogonal):
         X = np.linalg.qr(X)[0] * gen.uniform(2.0, 4.0, p)
     spec = build_problem(X, gen.uniform(0.5, 2.0, p), float(gen.uniform(0.05, 1.0)))
     inv_gram = np.linalg.inv(spec.gram)
-    engine = _MhEngine(spec, np.zeros(spec.p), Gaussian(1.0), np.ones(spec.p))
+    engine = ReferenceMhEngine(spec, np.zeros(spec.p), Gaussian(1.0), np.ones(spec.p))
     for _ in range(6):
         mask = gen.random(spec.p) < 0.5
         theta = np.where(mask, 0.6 * gen.standard_normal(spec.p), gen.uniform(-1, 1, spec.p))
@@ -568,8 +608,10 @@ def test_cap_rejections_skip_log_determinants(monkeypatch):
 
     The test replays every add/drop proposal of a 2000-sweep chain against
     its own cap (oracle quadratic forms, an explicit inverse) and counts
-    the proposals the cap leaves undecided; the engine must call
-    log_det_jacobian once per such proposal plus once at the start.
+    the proposals the cap leaves undecided; the sampler must call
+    log_det_jacobian once per such proposal plus once at the start.  The
+    proposals are replayed on the reference engine, whose chain the
+    sampler's must equal.
     """
     X, y, _ = synthetic_dataset(100, 20, rho=0.25, sigma2=1.0, signal=6, seed=11)
     lam = 0.3 * float(lambda_max(build_problem(X, 1.0, 1.0), y))
@@ -595,13 +637,19 @@ def test_cap_rejections_skip_log_determinants(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(lassodist.samplers, "log_det_jacobian", counted)
-    monkeypatch.setattr(_MhEngine, "add_coord", replayed(_MhEngine.add_coord, True))
-    monkeypatch.setattr(_MhEngine, "drop_coord", replayed(_MhEngine.drop_coord, False))
     config = default_sampler_config(
         spec, 5, iters=2000, burn_in=100, beta_ref=center, sigma2_hat=1.0
     )
+    with monkeypatch.context() as patch:
+        patch.setattr(ReferenceMhEngine, "add_coord", replayed(ReferenceMhEngine.add_coord, True))
+        patch.setattr(
+            ReferenceMhEngine, "drop_coord", replayed(ReferenceMhEngine.drop_coord, False)
+        )
+        reference = reference_mh_chain(spec, center, Gaussian(1.0), config)
+    monkeypatch.setattr(lassodist.samplers, "log_det_jacobian", counted)
     chain = mh_sample(spec, center, Gaussian(1.0), config)
+    np.testing.assert_array_equal(chain.thetas, reference[0])
+    np.testing.assert_array_equal(chain.active, reference[1])
     moves = chain.proposal_counts["add_coord"] + chain.proposal_counts["drop_coord"]
     accepts = chain.accept_counts["add_coord"] + chain.accept_counts["drop_coord"]
     assert counts["log_det"] == 1 + counts["undecided"]
@@ -614,8 +662,10 @@ def _error_model(family: str, p: int):
         return Gaussian(0.8)
     if family == "studentt":
         return StudentT(7.0, 1.3)
-    edges = np.linspace(0.0, 2.0, 5)
-    counts = np.array([1.0, 4.0, 6.0, 2.0])
+    gap = family == "elliptical-gap"
+    # "elliptical-gap" has zero density at whitened radii in [2, 4), where many states lie.
+    edges = np.linspace(0.0, 8.0 if gap else 2.0, 5)
+    counts = np.array([1.0, 0.0 if gap else 4.0, 6.0, 2.0])
     log_norm = radial_log_norm(edges, counts, p, -3.0, 1.0)
     return EmpiricalElliptical(edges, counts, -3.0, 1.0, p, log_norm)
 
@@ -682,7 +732,7 @@ def test_candidate_loglik_matches_oracle_qform(seed, family):
     )
     model = _error_model(family, p)
     beta = np.where(gen.random(p) < 0.6, gen.standard_normal(p), 0.0)
-    engine = _MhEngine(spec, beta, model, gen.uniform(0.2, 1.0, p))
+    engine = ReferenceMhEngine(spec, beta, model, gen.uniform(0.2, 1.0, p))
     recorder = engine.log_f = _RecordingKernel(engine.log_f)
     for _ in range(10):
         mask = gen.random(p) < 0.5
@@ -710,7 +760,7 @@ def test_forced_accept_walk_keeps_q_on_the_oracle(family):
     spec = build_problem(gen.standard_normal((n, p)), gen.uniform(0.5, 2.0, p), 0.3)
     model = _error_model(family, p)
     beta = np.where(gen.random(p) < 0.5, gen.standard_normal(p), 0.0)
-    engine = _MhEngine(spec, beta, model, np.ones(p))
+    engine = ReferenceMhEngine(spec, beta, model, np.ones(p))
     mask = gen.random(p) < 0.5
     engine.set_state(np.where(mask, 0.7, 0.1), mask)
     kinds = set()
@@ -724,3 +774,88 @@ def test_forced_accept_walk_keeps_q_on_the_oracle(family):
     _, q = state_score(spec.gram, spec.weights, spec.lam, beta, engine.theta, engine.active)
     assert engine.q == pytest.approx(q, rel=1e-10)
     assert engine.loglik == qform_log_density(model, p, spec.log_det_gram, spec.n)(engine.q)
+
+
+def _singular_with(pair):
+    """``log_det_jacobian`` that finds every active block holding both of ``pair`` singular."""
+    real = lassodist.samplers.log_det_jacobian
+
+    def log_det(A, spec):
+        A = np.asarray(A)
+        mask = A if A.dtype == bool else np.isin(np.arange(spec.p), A)
+        if mask[list(pair)].all():
+            raise NumericalError("active Gram block is singular")
+        return real(A, spec)
+
+    return log_det
+
+
+def _chain_outcome(run):
+    """A chain's rows and tallies as bytes and dicts, or the error it raised."""
+    try:
+        thetas, active, accepts, proposals = run()
+    except (ConfigError, NumericalError) as err:
+        return type(err).__name__, str(err)
+    return thetas.tobytes(), active.tobytes(), accepts, list(proposals.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["gaussian", "studentt", "elliptical", "elliptical-gap"]),
+    st.sampled_from(["joint", "conditional"]),
+    st.sampled_from(["default", "init", "equilibrium"]),
+    st.sampled_from(["random", "singular-pair", "duplicate"]),
+)
+def test_sweep_loop_is_bit_identical_to_the_reference(seed, family, chain, start, design):
+    """``mh_sample`` and ``conditional_mh_sample`` equal the per-move reference bit for bit.
+
+    Rows, active sets and both tallies must be identical (the rows as raw
+    bytes), or both must raise the same error.  Under "elliptical-gap" a
+    state can have zero density, so a log ratio can be NaN, which rejects.  "singular-pair" makes
+    every active block that holds columns 0 and 1 singular, as a duplicated
+    column would, so those add/drop moves reject on the log-determinant;
+    "duplicate" duplicates a column, which both reject at set-up.
+    """
+    gen = np.random.default_rng(seed)
+    p = int(gen.integers(1, 10))
+    n = p + int(gen.integers(1, 25))
+    X = gen.standard_normal((n, p))
+    if design == "duplicate" and p >= 2:
+        X[:, 1] = X[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        spec = build_problem(X, gen.uniform(0.5, 2.0, p), float(gen.uniform(0.05, 1.0)))
+    model = _error_model(family, p)
+    beta = np.where(gen.random(p) < 0.5, gen.standard_normal(p), 0.0)
+    iters = int(gen.integers(1, 80))
+    config = SamplerConfig(
+        K=int(gen.integers(1, p + 1)),
+        alpha=gen.uniform(0.05, 1.0, p),
+        tau=gen.uniform(0.05, 2.0, p),
+        iters=iters,
+        burn_in=int(gen.integers(0, iters)),
+        seed=int(gen.integers(2**31)),
+        equilibrium_init=start == "equilibrium",
+    )
+    mask = gen.random(p) < 0.5
+    A_star = np.flatnonzero(mask) if chain == "conditional" else None
+    init = None
+    if start == "init":
+        init = np.where(mask, gen.standard_normal(p), gen.uniform(-1.0, 1.0, p)), mask
+
+    def library():
+        if A_star is None:
+            out = mh_sample(spec, beta, model, config, init=init)
+        else:
+            out = conditional_mh_sample(spec, beta, model, A_star, config, init, 500)
+        return out.thetas, out.active, out.accept_counts, out.proposal_counts
+
+    def reference():
+        return reference_mh_chain(spec, beta, model, config, init, A_star, 500)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if design == "singular-pair" and p >= 2:
+            patch.setattr(lassodist.samplers, "log_det_jacobian", _singular_with((0, 1)))
+        assert _chain_outcome(library) == _chain_outcome(reference)
