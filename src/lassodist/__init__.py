@@ -49,7 +49,6 @@ from .importance import (
     ISResult,
     TrialSpec,
     coefficient_statistic,
-    estimate_pvalue,
     multi_pvalue_study,
     multi_test,
     pvalue_study,
@@ -110,7 +109,6 @@ __all__ = [
     "conditional_mh_sample",
     "default_sampler_config",
     "direct_sample",
-    "estimate_pvalue",
     "estimate_sigma2",
     "fit_elliptical_model",
     "gaussian_moments",

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +29,7 @@ from .estimation import (
     summarize_chain,
     threshold_estimator,
 )
-from .importance import (
-    coefficient_statistic,
-    multi_pvalue_study,
-    pool_results,
-    pvalue_study,
-)
+from .importance import coefficient_statistic, multi_pvalue_study
 from .problem import build_problem, synthetic_dataset
 from .rng import seed_sequence
 from .samplers import (
@@ -331,128 +325,9 @@ def _null_beta(args: argparse.Namespace, p: int) -> np.ndarray:
     return beta0
 
 
-def _pvalue_payload(res, args: argparse.Namespace, extra: dict | None = None) -> dict:
-    payload = {
-        "estimate": res.estimate,
-        "log10_estimate": float(np.log10(res.estimate)) if res.estimate > 0 else None,
-        "ess": res.ess,
-        "cv": None if res.cv is None or not np.isfinite(res.cv) else res.cv,
-        "degenerate": bool(res.degenerate),
-        "lambda_star": res.lambda_star,
-        "t_star": args.t_star if hasattr(args, "t_star") else None,
-        "statistic": args.stat,
-        "L": args.L,
-        "trial": {
-            "sigma2_dagger": res.trial.sigma2_dagger,
-            "lambda_dagger": res.trial.lambda_dagger,
-        }
-        if res.trial is not None
-        else None,
-    }
-    if args.stat == "abs-coord":
-        payload["coord"] = args.coord
-    payload.update(extra or {})
-    return payload
-
-
-def _pvalue_worker(payload: dict):
-    spec = build_problem(payload["X"], payload["weights"], payload["lam"])
-    statistic = coefficient_statistic(payload["stat"], payload["coord"])
-    return pvalue_study(
-        spec,
-        payload["beta0"],
-        payload["sigma2"],
-        payload["lambda_star"],
-        statistic,
-        payload["t_star"],
-        payload["L"],
-        payload["seed"],
-        m_dagger=payload["m_dagger"],
-        l_pilot=payload["l_pilot"],
-        replicates=1,
-    )
-
-
-def _cmd_pvalue(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise ConfigError("--workers must be at least 1")
-    X = _load_matrix(args.x)
-    weights = _load_vector(args.weights) if args.weights else 1.0
-    spec = build_problem(X, weights, args.lambda_star)
-    beta0 = _null_beta(args, spec.p)
-    statistic = coefficient_statistic(args.stat, args.coord, p=spec.p)
-
-    if args.replicates > 1 and args.workers > 1:
-        seeds = seed_sequence(args.seed).spawn(args.replicates)
-        payloads = [
-            {
-                "X": X,
-                "weights": spec.weights,
-                "lam": args.lambda_star,
-                "stat": args.stat,
-                "coord": args.coord,
-                "beta0": beta0,
-                "sigma2": args.sigma2,
-                "lambda_star": args.lambda_star,
-                "t_star": args.t_star,
-                "L": args.L,
-                "seed": s,
-                "m_dagger": args.m_dagger,
-                "l_pilot": args.l_pilot,
-            }
-            for s in seeds
-        ]
-        # A fork-started pool forks all max_workers children at its first submit.
-        with ProcessPoolExecutor(max_workers=min(args.workers, args.replicates)) as pool:
-            runs = list(pool.map(_pvalue_worker, payloads))
-        res = pool_results(runs, args.lambda_star)
-    else:
-        res = pvalue_study(
-            spec,
-            beta0,
-            args.sigma2,
-            args.lambda_star,
-            statistic,
-            args.t_star,
-            args.L,
-            args.seed,
-            m_dagger=args.m_dagger,
-            l_pilot=args.l_pilot,
-            replicates=args.replicates,
-        )
-    payload = _pvalue_payload(res, args, {"replicates": args.replicates})
-    out = _out_dir(args)
-    _write_json(out / "pvalue.json", payload)
-    _write_manifest(out, args, ["pvalue.json"])
-    print(f"estimate {res.estimate:.6g} (ess {res.ess:.1f}); wrote pvalue.json to {out}")
-    return 0
-
-
-def _cmd_pvalue_multi(args: argparse.Namespace) -> int:
-    X = _load_matrix(args.x)
-    weights = _load_vector(args.weights) if args.weights else 1.0
-    try:
-        lambda_stars = np.array([float(tok) for tok in args.lambda_stars.split(",")])
-        t_stars = np.array([float(tok) for tok in args.t_stars.split(",")])
-    except ValueError as exc:
-        raise ConfigError("cannot parse --lambda-stars / --t-stars") from exc
-    if lambda_stars.size != t_stars.size:
-        raise ConfigError("--lambda-stars and --t-stars need matching lengths")
-    spec = build_problem(X, weights, float(lambda_stars[0]))
-    beta0 = _null_beta(args, spec.p)
-    statistic = coefficient_statistic(args.stat, args.coord, p=spec.p)
-    results = multi_pvalue_study(
-        spec,
-        beta0,
-        args.sigma2,
-        lambda_stars,
-        statistic,
-        t_stars,
-        args.L,
-        args.seed,
-        m_dagger=args.m_dagger,
-        l_pilot=args.l_pilot,
-    )
+def _tail_payload(args: argparse.Namespace, results, t_stars) -> dict:
+    """Fields of pvalue.json and pvalue_multi.json: the per-target ones under
+    ``targets``, then the statistic, L, trial and coord they share."""
     payload = {
         "targets": [
             {
@@ -474,10 +349,50 @@ def _cmd_pvalue_multi(args: argparse.Namespace) -> int:
     }
     if args.stat == "abs-coord":
         payload["coord"] = args.coord
+    return payload
+
+
+def _tail_study(args: argparse.Namespace, lambda_stars, t_stars, **kwargs):
+    """Build the problem at the first target penalty and run the tail study."""
+    X = _load_matrix(args.x)
+    weights = _load_vector(args.weights) if args.weights else 1.0
+    spec = build_problem(X, weights, float(lambda_stars[0]))
+    beta0 = _null_beta(args, spec.p)
+    statistic = coefficient_statistic(args.stat, args.coord, p=spec.p)
+    return multi_pvalue_study(
+        spec, beta0, args.sigma2, lambda_stars, statistic, t_stars, args.L, args.seed,
+        m_dagger=args.m_dagger, l_pilot=args.l_pilot, **kwargs,
+    )
+
+
+def _cmd_pvalue(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be at least 1")
+    (res,) = _tail_study(
+        args, [args.lambda_star], [args.t_star],
+        replicates=args.replicates, workers=args.workers,
+    )
+    payload = _tail_payload(args, [res], [args.t_star])
+    (target,) = payload.pop("targets")
+    cv = None if res.cv is None or not np.isfinite(res.cv) else res.cv
     out = _out_dir(args)
-    _write_json(out / "pvalue_multi.json", payload)
+    _write_json(out / "pvalue.json", {**target, **payload, "cv": cv, "replicates": args.replicates})
+    _write_manifest(out, args, ["pvalue.json"])
+    print(f"estimate {res.estimate:.6g} (ess {res.ess:.1f}); wrote pvalue.json to {out}")
+    return 0
+
+
+def _cmd_pvalue_multi(args: argparse.Namespace) -> int:
+    try:
+        lambda_stars = [float(tok) for tok in args.lambda_stars.split(",")]
+        t_stars = [float(tok) for tok in args.t_stars.split(",")]
+    except ValueError as exc:
+        raise ConfigError("cannot parse --lambda-stars / --t-stars") from exc
+    results = _tail_study(args, lambda_stars, t_stars)
+    out = _out_dir(args)
+    _write_json(out / "pvalue_multi.json", _tail_payload(args, results, t_stars))
     _write_manifest(out, args, ["pvalue_multi.json"])
-    print(f"wrote pvalue_multi.json ({lambda_stars.size} targets) to {out}")
+    print(f"wrote pvalue_multi.json ({len(lambda_stars)} targets) to {out}")
     return 0
 
 

@@ -7,6 +7,7 @@ remain estimable with a few thousand draws.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -25,7 +26,6 @@ __all__ = [
     "ISResult",
     "tune_trial",
     "chain_log_weights",
-    "estimate_pvalue",
     "multi_test",
     "sample_trial",
     "pool_results",
@@ -146,6 +146,18 @@ def chain_log_weights(
     return np.reshape(log_weights, lambda_stars.shape + k.shape)
 
 
+def _l1(b):
+    return np.sum(np.abs(b), axis=-1)
+
+
+def _linf(b):
+    return np.max(np.abs(b), axis=-1, initial=0.0)
+
+
+def _abs_coord(b, j: int):
+    return np.abs(b[..., j])
+
+
 def coefficient_statistic(name: str, coord: int | None = None, p: int | None = None):
     """Named statistics of the coefficient vector, on one state or a block.
 
@@ -153,19 +165,20 @@ def coefficient_statistic(name: str, coord: int | None = None, p: int | None = N
     block to shape (L,), reducing over the last axis.  ``l1`` and ``linf``
     are the usual norms; ``abs-coord`` is the absolute value of one
     coordinate (requires ``coord``, which must lie in [0, p) when the
-    dimension ``p`` is given and be nonnegative in any case).
+    dimension ``p`` is given and be nonnegative in any case).  The
+    functions pickle, so they can cross to worker processes.
     """
     if name == "l1":
-        return lambda b: np.sum(np.abs(b), axis=-1)
+        return _l1
     if name == "linf":
-        return lambda b: np.max(np.abs(b), axis=-1, initial=0.0)
+        return _linf
     if name == "abs-coord":
         if coord is None:
             raise ConfigError("abs-coord statistic needs a coordinate index")
         j = int(coord)
         if j < 0 or (p is not None and j >= p):
             raise ConfigError(f"abs-coord coordinate {j} is outside [0, {p or 'p'})")
-        return lambda b: np.abs(b[..., j])
+        return functools.partial(_abs_coord, j=j)
     raise ConfigError(f"unknown statistic {name!r}; choose l1, linf or abs-coord")
 
 
@@ -175,24 +188,6 @@ def _statistic_values(chain: Chain, statistic) -> np.ndarray:
     if values.shape != (len(chain),):
         raise ConfigError(f"statistic must map an (L, p) block to shape (L,); got {values.shape}")
     return values
-
-
-def estimate_pvalue(
-    chain: Chain,
-    statistic,
-    t_star: float,
-    log_weights: np.ndarray,
-    lambda_star: float | None = None,
-) -> ISResult:
-    """Self-normalized tail estimate P(|T| >= t_star) from weighted draws.
-
-    ``statistic`` maps an (L, p) block of coefficient vectors to shape
-    (L,), as the functions of :func:`coefficient_statistic` do; it is
-    called once.  Weights are scaled by their largest, so log weights
-    spanning hundreds of orders of magnitude are safe.
-    """
-    values = _statistic_values(chain, statistic)
-    return _tail_estimate(values, [t_star], log_weights, [lambda_star])[0]
 
 
 def _tail_estimate(
@@ -270,7 +265,7 @@ def sample_trial(
     return direct_sample(trial_spec, beta0, Gaussian(trial.sigma2_dagger), L, seed)
 
 
-def pool_results(runs: list[ISResult], lambda_star: float | None = None) -> ISResult:
+def pool_results(runs: list[ISResult]) -> ISResult:
     """Combine replicate runs: mean estimate, relative spread, mean ess."""
     if not runs:
         raise ConfigError("nothing to pool")
@@ -286,8 +281,20 @@ def pool_results(runs: list[ISResult], lambda_star: float | None = None) -> ISRe
         cv=cv,
         ess=float(np.mean([r.ess for r in runs])),
         degenerate=any(r.degenerate for r in runs),
-        lambda_star=lambda_star if lambda_star is not None else runs[0].lambda_star,
+        lambda_star=runs[0].lambda_star,
         trial=runs[0].trial,
+    )
+
+
+def _study_replicate(seed, spec, beta0, sigma2_0, lambda_stars, statistic, t_stars, L,
+                     basis, trial, m_dagger, l_pilot) -> list[ISResult]:
+    """One replicate: tune the trial unless given, sample it once, reweight per target."""
+    tune_seq, sample_seq = seed_sequence(seed).spawn(2)
+    if trial is None:
+        trial = tune_trial(spec, sigma2_0, m_dagger, l_pilot, tune_seq)
+    chain = sample_trial(spec, beta0, trial, L, sample_seq)
+    return multi_test(
+        chain, spec, basis, sigma2_0, lambda_stars, statistic, t_stars, trial, beta0
     )
 
 
@@ -304,28 +311,57 @@ def multi_pvalue_study(
     trial: TrialSpec | None = None,
     m_dagger: float = 5.0,
     l_pilot: int = 100,
+    replicates: int = 1,
+    workers: int = 1,
 ) -> list[ISResult]:
-    """Tune once, sample once, reweight per target.
+    """Full pipeline for T targets: tune the trial, sample it once, reweight per target.
 
-    Element k agrees bit for bit with a single-target run at
-    ``(lambda_stars[k], t_stars[k])`` on the same seed, which is this
-    function with one target.  A target penalty that is not finite and
-    positive, or a NaN threshold, is a ConfigError before any sampling.
+    Element k agrees bit for bit with a one-target run at
+    ``(lambda_stars[k], t_stars[k])`` on the same seed.  With
+    ``replicates`` > 1 the whole pipeline reruns on seeds spawned from
+    ``seed``; each target's estimate is the replicate mean and ``cv`` its
+    relative standard deviation across runs, the usual quality metric for
+    tail targets.  ``workers`` > 1 runs the replicates in a pool of
+    ``min(workers, replicates)`` processes, with the same results; then
+    ``statistic`` must pickle, as the named ones do.  Targets that are not
+    two 1-D, non-empty arrays of equal length, a target penalty that is
+    not finite and positive, or a NaN threshold is a ConfigError before
+    any sampling.
     """
-    for lam in np.ravel(lambda_stars).tolist():
+    lambda_stars = np.asarray(lambda_stars, dtype=float)
+    t_stars = np.asarray(t_stars, dtype=float)
+    if lambda_stars.ndim != 1 or lambda_stars.size == 0 or t_stars.shape != lambda_stars.shape:
+        raise ConfigError(
+            "need 1-D, non-empty lambda_stars and t_stars of equal length, got shapes "
+            f"{lambda_stars.shape} and {t_stars.shape}"
+        )
+    for lam in lambda_stars.tolist():
         if not 0 < lam < math.inf:
             raise ConfigError(f"target penalty must be finite and positive, got {lam}")
     if np.isnan(t_stars).any():
         raise ConfigError("tail threshold must be a number, got nan")
+    if replicates < 1:
+        raise ConfigError("need at least one replicate")
+    if workers < 1:
+        raise ConfigError("need at least one worker")
     if basis is None and spec.p > spec.n:
         basis = spectral_decompose(spec)
-    tune_seq, sample_seq = seed_sequence(seed).spawn(2)
-    if trial is None:
-        trial = tune_trial(spec, sigma2_0, m_dagger, l_pilot, tune_seq)
-    chain = sample_trial(spec, beta0, trial, L, sample_seq)
-    return multi_test(
-        chain, spec, basis, sigma2_0, lambda_stars, statistic, t_stars, trial, beta0
+    run = functools.partial(
+        _study_replicate, spec=spec, beta0=beta0, sigma2_0=sigma2_0,
+        lambda_stars=lambda_stars, statistic=statistic, t_stars=t_stars, L=L,
+        basis=basis, trial=trial, m_dagger=m_dagger, l_pilot=l_pilot,
     )
+    seeds = seed_sequence(seed).spawn(replicates) if replicates > 1 else [seed]
+    if workers > 1 and replicates > 1:
+        # Imported here, so that importing the package loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # A fork-started pool forks all max_workers children at its first submit.
+        with ProcessPoolExecutor(max_workers=min(workers, replicates)) as pool:
+            runs = list(pool.map(run, seeds))
+    else:
+        runs = [run(s) for s in seeds]
+    return [pool_results(list(target)) for target in zip(*runs)]
 
 
 def pvalue_study(
@@ -343,24 +379,8 @@ def pvalue_study(
     l_pilot: int = 100,
     replicates: int = 1,
 ) -> ISResult:
-    """Full pipeline: tune the trial, sample it, reweight, estimate.
-
-    One run is the one-target case of :func:`multi_pvalue_study`.  With
-    ``replicates`` > 1 the whole pipeline reruns on spawned seeds; the
-    returned estimate is the replicate mean and ``cv`` its relative
-    standard deviation across runs, the usual quality metric for tail
-    targets.
-    """
-    if replicates < 1:
-        raise ConfigError("need at least one replicate")
-    if basis is None and spec.p > spec.n:
-        basis = spectral_decompose(spec)
-    seeds = seed_sequence(seed).spawn(replicates) if replicates > 1 else [seed]
-    runs = [
-        multi_pvalue_study(
-            spec, beta0, sigma2_0, [lambda_star], statistic, [t_star], L, s,
-            basis=basis, trial=trial, m_dagger=m_dagger, l_pilot=l_pilot,
-        )[0]
-        for s in seeds
-    ]
-    return pool_results(runs, lambda_star) if replicates > 1 else runs[0]
+    """The one-target case of :func:`multi_pvalue_study`, run in-process."""
+    return multi_pvalue_study(
+        spec, beta0, sigma2_0, [lambda_star], statistic, [t_star], L, seed,
+        basis=basis, trial=trial, m_dagger=m_dagger, l_pilot=l_pilot, replicates=replicates,
+    )[0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 
@@ -213,10 +214,9 @@ def test_pvalue_parallel_workers_match_sequential(tmp_path):
             "--seed", 9,
             "--out-dir", out,
         ) == 0
-        outs[label] = json.loads((out / "pvalue.json").read_text())
-    assert outs["seq"]["estimate"] == outs["par"]["estimate"]
-    assert outs["seq"]["ess"] == outs["par"]["ess"]
-    assert outs["seq"]["cv"] == outs["par"]["cv"]
+        outs[label] = (out / "pvalue.json").read_bytes()
+    assert outs["seq"] == outs["par"]
+    assert json.loads(outs["par"])["replicates"] == 2
 
 
 class _InProcessPool:
@@ -238,7 +238,7 @@ class _InProcessPool:
 
 
 def test_pvalue_workers_capped_at_replicates(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     data = gen_dataset(tmp_path, n=12, p=3)
     common = ("pvalue", "--x", data / "X.csv", "--sigma2", 1.0, "--lambda-star", 0.5,

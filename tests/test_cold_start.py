@@ -1,4 +1,4 @@
-"""Cold start: the package runs with scipy blocked.
+"""Cold start: the package runs with scipy blocked and imports no process pool.
 
 scipy is a test dependency only.  Each check runs in a fresh interpreter,
 since this test process has scipy loaded already (the oracles import it),
@@ -8,6 +8,9 @@ then runs exact draws, chain diagnostics, the p > n row-space density,
 the sign-recovery probability, and every command that
 ``tests/test_readme.py`` runs: README steps 1-7 and each useful
 variation, elliptical noise with ``--method mls`` and ``direct`` included.
+Neither ``import lassodist`` nor ``import lassodist.cli`` loads
+``concurrent.futures.process`` or ``multiprocessing``: only a tail study
+with ``workers`` > 1 needs them.
 """
 from __future__ import annotations
 
@@ -55,7 +58,16 @@ def cli(argv):
         raise RuntimeError(f"exit code {code}")
 
 
-run("import", lambda: __import__("lassodist.cli"))
+def no_process_pool():
+    loaded = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+    if loaded:
+        raise ImportError(f"{', '.join(loaded)} loaded")
+
+
+run("import lassodist", lambda: __import__("lassodist"))
+run("no pool after import lassodist", no_process_pool)
+run("import lassodist.cli", lambda: __import__("lassodist.cli"))
+run("no pool after import lassodist.cli", no_process_pool)
 
 from pathlib import Path
 
@@ -106,7 +118,8 @@ def test_scipy_free_paths_never_import_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     steps = json.loads(done.stdout.strip().splitlines()[-1])
     assert list(steps) == [
-        "import", "direct_sample", "chain_diagnostics", "summarize_chain",
+        "import lassodist", "no pool after import lassodist", "import lassodist.cli",
+        "no pool after import lassodist.cli", "direct_sample", "chain_diagnostics", "summarize_chain",
         "sign_consistency_prob", "log_density_rowspace",
         "cli gen-data", "cli sample-joint", "cli diagnose",
         "readme data gen-data", "readme run sample-joint", "readme run diagnose",

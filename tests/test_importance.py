@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from lassodist import (
     chain_diagnostics,
     coefficient_statistic,
     direct_sample,
-    estimate_pvalue,
     lambda_max,
     log_density,
     log_density_rowspace,
@@ -48,6 +48,12 @@ def make_state(active, b, s_inactive):
 def one_row_chain(state):
     theta, active = state
     return Chain(thetas=theta[None], active=active[None], iterations=np.arange(1))
+
+
+def tail_one(chain, statistic, t_star, log_weights, lambda_star=None):
+    """One target's tail estimate from given log weights, as ``multi_test`` forms it."""
+    values = imp._statistic_values(chain, statistic)
+    return imp._tail_estimate(values, [t_star], log_weights, [lambda_star])[0]
 
 
 def test_tune_trial_uses_lower_quartile(identity_spec, monkeypatch):
@@ -224,13 +230,13 @@ def test_estimate_pvalue_all_or_nothing(identity_spec):
     chain = direct_sample(identity_spec, np.zeros(2), Gaussian(1.0), 40, 1)
     lw = np.zeros(40)
     stat = coefficient_statistic("l1")
-    assert estimate_pvalue(chain, stat, -1.0, lw).estimate == 1.0
-    assert estimate_pvalue(chain, stat, 1e9, lw).estimate == 0.0
+    assert tail_one(chain, stat, -1.0, lw).estimate == 1.0
+    assert tail_one(chain, stat, 1e9, lw).estimate == 0.0
 
 
 def test_estimate_pvalue_equal_weights_ess(identity_spec):
     chain = direct_sample(identity_spec, np.zeros(2), Gaussian(1.0), 40, 1)
-    res = estimate_pvalue(chain, coefficient_statistic("l1"), 0.5, np.full(40, -3.0))
+    res = tail_one(chain, coefficient_statistic("l1"), 0.5, np.full(40, -3.0))
     assert res.ess == pytest.approx(40.0)
 
 
@@ -239,7 +245,7 @@ def test_estimate_pvalue_degenerate_warns(identity_spec):
     lw = np.full(1200, -50.0)
     lw[0] = 10.0
     with pytest.warns(RuntimeWarning):
-        res = estimate_pvalue(chain, coefficient_statistic("l1"), 0.1, lw)
+        res = tail_one(chain, coefficient_statistic("l1"), 0.1, lw)
     assert res.degenerate
 
 
@@ -252,8 +258,10 @@ def test_multi_test_single_target_matches_estimate_pvalue(identity_spec):
         chain, identity_spec, None, 1.0, [0.7], stat, [0.6], trial, beta0
     )
     lw = chain_log_weights(chain, identity_spec, None, 1.0, 0.7, trial, beta0)
-    single = estimate_pvalue(chain, stat, 0.6, lw, lambda_star=0.7)
-    assert multi[0].estimate == single.estimate
+    single = tail_one(chain, stat, 0.6, lw, lambda_star=0.7)
+    assert (multi[0].estimate, multi[0].ess, multi[0].lambda_star) == (
+        single.estimate, single.ess, single.lambda_star,
+    )
     np.testing.assert_array_equal(multi[0].log_weights, single.log_weights)
 
 
@@ -304,7 +312,7 @@ def test_pvalue_study_replicates_pool(identity_spec):
         for s in np.random.SeedSequence(4).spawn(3)
     ]
     assert res.estimate == pytest.approx(np.mean([r.estimate for r in singles]))
-    pooled = pool_results(singles, 0.6)
+    pooled = pool_results(singles)
     assert pooled.estimate == res.estimate
 
 
@@ -376,8 +384,9 @@ def test_scalar_statistic_is_config_error(identity_spec):
     def row_l1(beta):
         return float(np.sum(np.abs(beta)))
 
+    trial = TrialSpec(sigma2_dagger=5.0, lambda_dagger=0.4)
     with pytest.raises(ConfigError, match="shape"):
-        estimate_pvalue(chain, row_l1, 0.5, np.zeros(40))
+        multi_test(chain, identity_spec, None, 1.0, [0.7], row_l1, [0.5], trial, np.zeros(2))
     with pytest.raises(ConfigError, match="shape"):
         chain_diagnostics(chain, row_l1)
 
@@ -389,22 +398,22 @@ def test_nonfinite_log_weight_is_numerical_error(identity_spec, bad):
     lw = np.zeros(5)
     lw[2] = bad
     with pytest.raises(NumericalError, match=r"^1 nan or \+inf log weights; first at state 2 "):
-        estimate_pvalue(chain, stat, 0.5, lw)
+        tail_one(chain, stat, 0.5, lw)
     lw[4] = bad
     with pytest.raises(NumericalError, match=r"^2 nan or \+inf log weights; first at state 2 "):
-        estimate_pvalue(chain, stat, 0.5, lw)
+        tail_one(chain, stat, 0.5, lw)
 
 
 def test_negative_infinite_log_weights_are_zero_weights(identity_spec):
     chain = direct_sample(identity_spec, np.zeros(2), Gaussian(1.0), 5, 1)
     stat = coefficient_statistic("l1")
     lw = np.array([0.0, -1.0, -np.inf, 0.5, -np.inf])
-    res = estimate_pvalue(chain, stat, 0.5, lw)
+    res = tail_one(chain, stat, 0.5, lw)
     estimate, ess = tail_estimate(stat(chain.beta_matrix()), 0.5, lw)
     assert res.estimate == pytest.approx(estimate, rel=1e-13, abs=0)
     assert res.ess == pytest.approx(ess, rel=1e-13)
     with pytest.raises(NumericalError, match="all importance weights are zero"):
-        estimate_pvalue(chain, stat, 0.5, np.full(5, -np.inf))
+        tail_one(chain, stat, 0.5, np.full(5, -np.inf))
 
 
 @settings(max_examples=80, deadline=None)
@@ -423,7 +432,7 @@ def test_tail_estimate_matches_fsum_oracle(seed, L, spread, hits):
     lw[1:][rng.random(L - 1) < 0.1] = -np.inf
     values = rng.standard_normal(L)
     t = {"some": 0.7, "none": 1e9, "all": 0.0}[hits]
-    res = estimate_pvalue(block_chain(np.zeros((L, 1))), lambda b: values, t, lw)
+    res = tail_one(block_chain(np.zeros((L, 1))), lambda b: values, t, lw)
     estimate, ess = tail_estimate(values, t, lw)
     # abs covers weights that underflow to subnormals, where exp rounds coarsely.
     assert res.estimate == pytest.approx(estimate, rel=1e-13, abs=1e-300)
@@ -445,7 +454,7 @@ def test_multi_test_targets_equal_single_estimates_bit_for_bit(identity_spec):
     values = stat(chain.beta_matrix())
     for lam, t, res in zip(lambda_stars.tolist(), t_stars.tolist(), multi):
         lw = chain_log_weights(chain, identity_spec, None, 1.0, lam, trial, beta0)
-        single = estimate_pvalue(chain, stat, t, lw, lambda_star=lam)
+        single = tail_one(chain, stat, t, lw, lambda_star=lam)
         assert (res.estimate, res.ess, res.degenerate) == (
             single.estimate,
             single.ess,
@@ -454,3 +463,53 @@ def test_multi_test_targets_equal_single_estimates_bit_for_bit(identity_spec):
         estimate, ess = tail_estimate(values, t, lw)
         assert res.estimate == pytest.approx(estimate, rel=1e-13, abs=0)
         assert res.ess == pytest.approx(ess, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "lambda_stars, t_stars, kwargs",
+    [
+        ([0.6, 0.8], [0.5], {}),
+        ([0.6], [0.5, 0.7], {"replicates": 3, "workers": 2}),
+        ([[0.6]], [[0.5]], {}),
+        ([0.6], [[0.5]], {}),
+        (0.6, 0.5, {}),
+        ([], [], {}),
+    ],
+    ids=["short-t", "short-lambda", "2-d", "2-d-t", "scalar", "empty"],
+)
+def test_malformed_targets_fail_before_any_sampling(identity_spec, monkeypatch, lambda_stars,
+                                                    t_stars, kwargs):
+    calls = []
+    monkeypatch.setattr(imp, "sample_trial", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="1-D, non-empty lambda_stars and t_stars"):
+        multi_pvalue_study(identity_spec, np.zeros(2), 1.0, lambda_stars,
+                           coefficient_statistic("l1"), t_stars, 200, 3, **kwargs)
+    assert calls == []
+
+
+def test_named_statistics_pickle(rng):
+    block = rng.standard_normal((30, 4))
+    for name in ("l1", "linf", "abs-coord"):
+        stat = coefficient_statistic(name, 2, p=4)
+        copy = pickle.loads(pickle.dumps(stat))
+        np.testing.assert_array_equal(copy(block), stat(block))
+
+
+def test_study_workers_match_in_process_replicates(identity_spec):
+    stat = coefficient_statistic("abs-coord", 1, p=2)
+    lambda_stars, t_stars = [0.6, 0.9], [0.4, 0.7]
+    runs = {
+        workers: multi_pvalue_study(identity_spec, np.zeros(2), 1.0, lambda_stars, stat,
+                                    t_stars, 200, 17, l_pilot=20, replicates=3,
+                                    workers=workers)
+        for workers in (1, 2)
+    }
+    for k, (lam, t) in enumerate(zip(lambda_stars, t_stars)):
+        single = pvalue_study(identity_spec, np.zeros(2), 1.0, lam, stat, t, 200, 17,
+                              l_pilot=20, replicates=3)
+        for res in (runs[1][k], runs[2][k]):
+            assert (res.estimate, res.cv, res.ess, res.degenerate, res.lambda_star) == (
+                single.estimate, single.cv, single.ess, single.degenerate, single.lambda_star,
+            )
+            assert res.trial.lambda_dagger == single.trial.lambda_dagger
+            np.testing.assert_array_equal(res.log_weights, single.log_weights)
