@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +52,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ConfigError(message)
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    try:
-        arr = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read matrix from {path}: {exc}") from exc
-    return arr
 
 
 def _load_vector(path: str) -> np.ndarray:
@@ -101,18 +94,40 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _resolve_lambda(args: argparse.Namespace, X: np.ndarray, weights, y: np.ndarray):
-    """Penalty from --lambda, or --lambda-frac relative to the zero point."""
+def _load_design(args: argparse.Namespace):
+    """The design --x and its penalty weights --weights (all 1 when absent)."""
+    try:
+        X = np.loadtxt(args.x, delimiter=",", dtype=float, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read matrix from {args.x}: {exc}") from exc
+    return X, _load_vector(args.weights) if args.weights else 1.0
+
+
+def _load_problem(args: argparse.Namespace):
+    """Penalty-1 problem of --x/--weights, the response --y, and the problem
+    at --lambda or at --lambda-frac times lambda_max (None without either).
+
+    ``build_problem`` runs once; the penalty is set with ``replace``, which
+    skips its check, so the penalty is checked here.
+    """
+    X, weights = _load_design(args)
+    y = _load_vector(args.y)
+    unit = build_problem(X, weights, 1.0)
+    if y.shape != (unit.n,):
+        raise DataError(f"response must hold {unit.n} values, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise DataError("response contains non-finite entries")
     if args.lam is not None:
-        if args.lam <= 0:
-            raise ConfigError("penalty must be positive")
-        return float(args.lam)
-    if getattr(args, "lambda_frac", None) is not None:
-        if not 0 < args.lambda_frac:
-            raise ConfigError("lambda fraction must be positive")
-        probe = build_problem(X, weights, 1.0)
-        return float(args.lambda_frac * lambda_max(probe, y))
-    return None
+        check_positive("--lambda", args.lam)
+        lam = float(args.lam)
+    elif args.lambda_frac is not None:
+        check_positive("--lambda-frac", args.lambda_frac)
+        lam = float(args.lambda_frac * lambda_max(unit, y))
+        # lambda_max is 0 for a response orthogonal to every column.
+        check_positive("--lambda-frac times lambda_max", lam)
+    else:
+        return unit, y, None
+    return unit, y, replace(unit, lam=lam)
 
 
 def _resolve_center(args: argparse.Namespace, spec, y: np.ndarray) -> np.ndarray:
@@ -207,6 +222,19 @@ def _add_data_args(p: _Parser) -> None:
     )
 
 
+def _add_tail_args(p: _Parser) -> None:
+    p.add_argument("--x", required=True)
+    p.add_argument("--weights", default=None)
+    p.add_argument("--null-beta", default="zero", help='"zero" or a CSV path')
+    p.add_argument("--sigma2", type=float, required=True)
+    p.add_argument("--stat", choices=["l1", "linf", "abs-coord"], default="l1")
+    p.add_argument("--coord", type=int, default=None)
+    p.add_argument("--L", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--m-dagger", type=float, default=5.0)
+    p.add_argument("--l-pilot", type=int, default=100)
+
+
 def _add_model_args(p: _Parser, elliptical: bool = True) -> None:
     choices = ["gaussian", "studentt"] + (["elliptical"] if elliptical else [])
     p.add_argument("--model", choices=choices, default="gaussian")
@@ -260,18 +288,13 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample_joint(args: argparse.Namespace) -> int:
-    X = _load_matrix(args.x)
-    y = _load_vector(args.y)
-    weights = _load_vector(args.weights) if args.weights else 1.0
-    lam = _resolve_lambda(args, X, weights, y)
-    if lam is None and args.lambda_grid is None:
+    unit, y, spec = _load_problem(args)
+    if spec is None and args.lambda_grid is None:
         raise ConfigError("provide --lambda or --lambda-frac (or just --lambda-grid)")
 
     if args.lambda_grid is not None:
-        probe = build_problem(X, weights, 1.0)
-        grid = lambda_grid(probe, y, num=args.lambda_grid, min_frac=args.lambda_min_frac)
-    if lam is not None:
-        spec = build_problem(X, weights, lam)
+        grid = lambda_grid(unit, y, num=args.lambda_grid, min_frac=args.lambda_min_frac)
+    if spec is not None:
         center, sigma2, model, run_seq = _resolve_law(args, spec, y)
         if args.method == "direct":
             chain = direct_sample(spec, center, model, args.iters, run_seq)
@@ -284,22 +307,18 @@ def _cmd_sample_joint(args: argparse.Namespace) -> int:
     if args.lambda_grid is not None:
         _save_array(out / "lambda_grid.csv", grid)
         outputs.append("lambda_grid.csv")
-        if lam is None:
+        if spec is None:
             _write_manifest(out, args, outputs)
             print(f"wrote lambda_grid.csv ({args.lambda_grid} values) to {out}")
             return 0
     echo = {"method": args.method, "iters": args.iters, "burnin": args.burnin}
-    return _write_chain_outputs(out, args, chain, lam, sigma2, echo, outputs)
+    return _write_chain_outputs(out, args, chain, spec.lam, sigma2, echo, outputs)
 
 
 def _cmd_sample_cond(args: argparse.Namespace) -> int:
-    X = _load_matrix(args.x)
-    y = _load_vector(args.y)
-    weights = _load_vector(args.weights) if args.weights else 1.0
-    lam = _resolve_lambda(args, X, weights, y)
-    if lam is None:
+    _, y, spec = _load_problem(args)
+    if spec is None:
         raise ConfigError("provide --lambda or --lambda-frac")
-    spec = build_problem(X, weights, lam)
 
     if args.active.strip():
         try:
@@ -313,7 +332,7 @@ def _cmd_sample_cond(args: argparse.Namespace) -> int:
     config = _sampler_config(args, spec, run_seq, center, sigma2)
     chain = conditional_mh_sample(spec, center, model, active, config)
     echo = {"active": active.tolist(), "iters": args.iters, "burnin": args.burnin}
-    return _write_chain_outputs(_out_dir(args), args, chain, lam, sigma2, echo)
+    return _write_chain_outputs(_out_dir(args), args, chain, spec.lam, sigma2, echo)
 
 
 def _null_beta(args: argparse.Namespace, p: int) -> np.ndarray:
@@ -354,8 +373,7 @@ def _tail_payload(args: argparse.Namespace, results, t_stars) -> dict:
 
 def _tail_study(args: argparse.Namespace, lambda_stars, t_stars, **kwargs):
     """Build the problem at the first target penalty and run the tail study."""
-    X = _load_matrix(args.x)
-    weights = _load_vector(args.weights) if args.weights else 1.0
+    X, weights = _load_design(args)
     spec = build_problem(X, weights, float(lambda_stars[0]))
     beta0 = _null_beta(args, spec.p)
     statistic = coefficient_statistic(args.stat, args.coord, p=spec.p)
@@ -458,27 +476,18 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_posterior_check(args: argparse.Namespace) -> int:
-    X = _load_matrix(args.x)
-    y = _load_vector(args.y)
-    weights = _load_vector(args.weights) if args.weights else 1.0
-    lam = _resolve_lambda(args, X, weights, y)
-    if lam is None:
+    _, y, spec = _load_problem(args)
+    if spec is None:
         raise ConfigError("provide --lambda or --lambda-frac")
-    spec = build_problem(X, weights, lam)
 
-    ols = spec.gram_solve(X.T @ y / spec.n)
+    ols = spec.gram_solve(spec.X.T @ y / spec.n)
     sigma2 = _resolve_sigma2(args, spec, y, ols)
-    if args.model == "studentt":
-        if args.dof is None:
-            raise ConfigError("--dof is required with the studentt model")
-        model = StudentT(dof=float(args.dof), scale=sigma2)
-    else:
-        model = Gaussian(sigma2)
+    model = _resolve_model(args, spec, y, ols, sigma2, None)
     chain = posterior_decision_sample(
         spec, y, model, args.L, args.seed, lam=args.decision_lambda
     )
     echo = {"L": args.L, "decision_lambda": args.decision_lambda}
-    return _write_chain_outputs(_out_dir(args), args, chain, lam, sigma2, echo, noun="draws")
+    return _write_chain_outputs(_out_dir(args), args, chain, spec.lam, sigma2, echo, noun="draws")
 
 
 @functools.cache
@@ -527,36 +536,18 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sample_cond)
 
     p = sub.add_parser("pvalue", help="importance-sampled tail probability")
-    p.add_argument("--x", required=True)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--null-beta", default="zero", help='"zero" or a CSV path')
-    p.add_argument("--sigma2", type=float, required=True)
+    _add_tail_args(p)
     p.add_argument("--lambda-star", type=float, required=True)
-    p.add_argument("--stat", choices=["l1", "linf", "abs-coord"], default="l1")
-    p.add_argument("--coord", type=int, default=None)
     p.add_argument("--t-star", type=float, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--m-dagger", type=float, default=5.0)
-    p.add_argument("--l-pilot", type=int, default=100)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_pvalue)
 
     p = sub.add_parser("pvalue-multi", help="several tail targets sharing one trial sample")
-    p.add_argument("--x", required=True)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--null-beta", default="zero")
-    p.add_argument("--sigma2", type=float, required=True)
+    _add_tail_args(p)
     p.add_argument("--lambda-stars", required=True, help="comma-separated target penalties")
     p.add_argument("--t-stars", required=True, help="comma-separated thresholds")
-    p.add_argument("--stat", choices=["l1", "linf", "abs-coord"], default="l1")
-    p.add_argument("--coord", type=int, default=None)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m-dagger", type=float, default=5.0)
-    p.add_argument("--l-pilot", type=int, default=100)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_pvalue_multi)
 

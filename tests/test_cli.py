@@ -3,6 +3,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,16 @@ def test_sample_joint_lambda_grid_only(tmp_path):
     assert grid.shape == (12,)
     assert np.all(np.diff(grid) < 0)
     assert not (out / "chain.csv").exists()
+    X = np.loadtxt(data / "X.csv", delimiter=",")
+    y = np.loadtxt(data / "y.csv", delimiter=",")
+    top = np.max(np.abs(X.T @ y)) / len(y)
+    np.testing.assert_allclose(grid[[0, -1]], [top, 0.01 * top])
+
+    short = tmp_path / "short"
+    assert run("sample-joint", "--x", data / "X.csv", "--y", data / "y.csv", "--lambda-grid", 12,
+               "--lambda-min-frac", 0.1, "--seed", 1, "--out-dir", short) == 0
+    short_grid = np.loadtxt(short / "lambda_grid.csv", delimiter=",")
+    np.testing.assert_allclose(short_grid[[0, -1]], [top, 0.1 * top])
 
 
 def test_sample_cond_fixes_the_active_set(tmp_path):
@@ -621,6 +632,88 @@ def test_rank_deficient_design_exits_three_for_chains_and_runs_direct(tmp_path, 
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
         assert run("sample-joint", "--method", "direct", *xy, "--out-dir", tmp_path / "d") == 0
     assert len(read_chain_csv(tmp_path / "d" / "chain.csv")) == 40
+
+
+PENALIZED = {
+    "sample-joint": ("sample-joint", "--sigma2", 1.0, *SHORT_CHAIN),
+    "sample-cond": ("sample-cond", "--active", "0", "--sigma2", 1.0, *SHORT_CHAIN),
+    "posterior-check": ("posterior-check", "--L", 20, "--sigma2", 1.0),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--lambda", "--lambda-frac"])
+@pytest.mark.parametrize("command", list(PENALIZED))
+def test_bad_penalty_exits_one_before_writing(tmp_path, capsys, command, flag, value):
+    data = gen_dataset(tmp_path)
+    out = tmp_path / "out"
+    argv = (*PENALIZED[command], "--x", data / "X.csv", "--y", data / "y.csv", flag, value)
+    assert run(*argv, "--seed", 1, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be finite and positive, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["short", "nan"])
+@pytest.mark.parametrize("command", list(PENALIZED))
+def test_bad_response_exits_two_before_writing(tmp_path, capsys, command, fault):
+    """Before, --lambda-frac and posterior-check let a bare numpy ValueError escape ``main``
+    on a short response, and --lambda-frac called a NaN one a bad penalty."""
+    data = gen_dataset(tmp_path)
+    y = np.loadtxt(data / "y.csv", delimiter=",")
+    if fault == "short":
+        y, message = y[:7], "response must hold 20 values, got shape (7,)"
+    else:
+        y[3], message = np.nan, "response contains non-finite entries"
+    bad = tmp_path / "bad.csv"
+    np.savetxt(bad, y, delimiter=",")
+    runs = [("--lambda", 0.3), ("--lambda-frac", 0.3)]
+    if command == "sample-joint":
+        runs.append(("--lambda-grid", 4))
+    for i, extra in enumerate(runs):
+        out = tmp_path / f"o{i}"
+        argv = (*PENALIZED[command], "--x", data / "X.csv", "--y", bad, *extra)
+        assert run(*argv, "--seed", 1, "--out-dir", out) == 2, extra
+        assert capsys.readouterr().err.startswith(f"error: {message}"), extra
+        assert not out.exists(), extra
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("sample-joint", ("--lambda-frac", 0.3, "--lambda-grid", 5, "--method", "direct")),
+        ("sample-joint", ("--lambda", 0.3, "--lambda-grid", 5, "--method", "direct")),
+        ("sample-joint", ("--lambda-grid", 5)),
+        ("sample-cond", ("--lambda-frac", 0.3)),
+        ("posterior-check", ("--lambda-frac", 0.3)),
+    ],
+)
+def test_each_command_builds_its_problem_once(tmp_path, monkeypatch, command, extra):
+    data = gen_dataset(tmp_path)
+    build_problem, calls = cli.build_problem, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_problem(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_problem", counted)
+    argv = (*PENALIZED[command], "--x", data / "X.csv", "--y", data / "y.csv", *extra)
+    assert run(*argv, "--seed", 1, "--out-dir", tmp_path / "out") == 0
+    assert len(calls) == 1
+
+
+def test_rank_deficient_design_warns_once_per_command(tmp_path):
+    X, y = duplicated_column_design(9)
+    np.savetxt(tmp_path / "X.csv", X, delimiter=",")
+    np.savetxt(tmp_path / "y.csv", y, delimiter=",")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(
+            "sample-joint", "--x", tmp_path / "X.csv", "--y", tmp_path / "y.csv",
+            "--method", "direct", "--lambda-frac", 0.3, "--lambda-grid", 10, "--sigma2", 1.0,
+            "--iters", 20, "--seed", 7, "--out-dir", tmp_path / "out",
+        ) == 0
+    assert sum("rank-deficient" in str(w.message) for w in caught) == 1
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
