@@ -79,7 +79,6 @@ from .solver import (
     lambda_max,
     solve_lasso,
     solve_lasso_gram,
-    subgradient_of,
 )
 
 __all__ = [
@@ -132,7 +131,6 @@ __all__ = [
     "solve_lasso",
     "solve_lasso_gram",
     "spectral_decompose",
-    "subgradient_of",
     "summarize_chain",
     "synthetic_dataset",
     "threshold_estimator",

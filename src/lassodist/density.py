@@ -202,17 +202,15 @@ def scores(
     active: np.ndarray,
     beta: np.ndarray,
     spec: ProblemSpec,
-    lam: float | None = None,
 ) -> np.ndarray:
     """Score vectors ``C (beta_hat - beta) + lam * w * S`` of states.
 
     ``thetas`` (mixed coordinates) and ``active`` (mask) describe one state,
     shape (p,), or a block of states, shape (L, p); the result has the same
-    shape.  ``lam`` overrides ``spec.lam``.
+    shape.
     """
     coef, subgrad = _score_parts(thetas, active, beta, spec)
-    lam = spec.lam if lam is None else lam
-    return coef + lam * spec.weights * subgrad
+    return coef + spec.lam * spec.weights * subgrad
 
 
 def _score_parts(
@@ -260,7 +258,8 @@ def gaussian_moments(
     """Mean and covariance of (b_A, s_I) under the Gaussian score model.
 
     Coordinates are ordered active block first (ascending index), then
-    inactive block.  Requires p <= n so the Gram matrix is nonsingular.
+    inactive block.  Requires a nonsingular active Gram block, which a
+    p > n design allows for |A| <= n; the covariance is then singular.
     """
     idx = np.sort(np.asarray(A, dtype=int).ravel())
     s_active = np.asarray(s_active, dtype=float)

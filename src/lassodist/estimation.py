@@ -13,7 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .density import EmpiricalElliptical, Gaussian, StudentT, _assemble_jacobian, radial_log_norm
+from .density import (
+    EmpiricalElliptical,
+    Gaussian,
+    StudentT,
+    _assemble_jacobian,
+    gaussian_moments,
+    radial_log_norm,
+)
 from .errors import ConfigError, ConvergenceError, DataError, NumericalError, check_positive
 from .importance import _statistic_values
 from .problem import ProblemSpec
@@ -200,30 +207,11 @@ def sign_consistency_prob(
     if support.size > spec.n:
         raise ConfigError("a support larger than n is never recoverable")
     signs = np.sign(beta0[support])
-    inactive = np.nonzero(beta0 == 0)[0]
     k = support.size
-
-    # Affine center of the mapped score, active block then inactive block.
-    mu = np.zeros(spec.p)
-    if k:
-        ws = spec.weights[support] * signs
-        try:
-            caa_inv_ws = np.linalg.solve(spec.gram[np.ix_(support, support)], ws)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("active Gram block is singular") from exc
-        if not np.all(np.isfinite(caa_inv_ws)):
-            raise NumericalError("active Gram block is singular")
-        mu[:k] = beta0[support] - spec.lam * caa_inv_ws
-        if inactive.size:
-            mu[k:] = (
-                spec.gram[np.ix_(inactive, support)] @ caa_inv_ws
-            ) / spec.weights[inactive]
-
+    # The Gaussian mean of the state (b_A, s_I), active block first, is the
+    # state at score 0; a singular Jacobian fails there, before any draw.
+    mu, _ = gaussian_moments(support, signs, beta0, sigma2, spec)
     jac = _assemble_jacobian(support, spec)
-    # slogdet's LU meets an exactly zero pivot where solve's does, so a
-    # singular Jacobian fails here, before the first draw.
-    if np.linalg.slogdet(jac)[0] == 0.0:
-        raise NumericalError("state-to-score Jacobian is singular")
 
     rng = generator(seed)
     sd = math.sqrt(sigma2)
@@ -250,7 +238,6 @@ def posterior_decision_sample(
     L: int,
     seed: Seed,
     lam: float | None = None,
-    kkt_tol: float = 1e-10,
 ) -> Chain:
     """Sample the Bayes decision under the penalized decision loss.
 
@@ -301,7 +288,7 @@ def posterior_decision_sample(
     else:
         # The decision for a draw b is the lasso fit to the noiseless response X b.
         try:
-            sol = solve_lasso(replace(spec, lam=lam_eff), draws @ spec.X.T, kkt_tol=kkt_tol)
+            sol = solve_lasso(replace(spec, lam=lam_eff), draws @ spec.X.T, kkt_tol=1e-10)
         except ConvergenceError as err:
             err.seed = seed
             raise
@@ -320,7 +307,6 @@ def recentered_minimizer(
     spec: ProblemSpec,
     center: np.ndarray,
     u: np.ndarray,
-    kkt_tol: float = 1e-12,
 ) -> np.ndarray:
     """Shift of the penalized minimizer when the problem is centered at ``center``.
 
@@ -331,7 +317,7 @@ def recentered_minimizer(
     center = np.asarray(center, dtype=float)
     u = np.asarray(u, dtype=float)
     xty = spec.gram @ center + u
-    beta, _ = solve_lasso_gram(spec.gram, xty, spec.weights, spec.lam, kkt_tol=kkt_tol)
+    beta, _ = solve_lasso_gram(spec.gram, xty, spec.weights, spec.lam, kkt_tol=1e-12)
     return beta - center
 
 
@@ -423,7 +409,7 @@ def chain_diagnostics(
 
     ``g`` maps the (L, p) coefficient block to shape (L,) in one call, the
     contract of the named statistics registry; pass a precomputed series
-    (as ``chain`` or as ``g``) for anything else.  The autocorrelation is
+    as ``chain`` for anything else.  The autocorrelation is
     truncated at the first lag indistinguishable from zero
     (|rho| < 2/sqrt(N)); the inflation factor, effective sample size and
     relative efficiency are derived from the truncated sum.
@@ -431,12 +417,10 @@ def chain_diagnostics(
     check_positive("cost_ratio", cost_ratio)
     if isinstance(chain, np.ndarray):
         series = np.asarray(chain, dtype=float)
-    elif g is None:
-        raise ConfigError("provide a statistic g when passing a Chain")
-    elif callable(g):
-        series = _statistic_values(chain, g)
+    elif not callable(g):
+        raise ConfigError("provide a callable statistic g when passing a Chain")
     else:
-        series = np.asarray(g, dtype=float)
+        series = _statistic_values(chain, g)
     N = series.shape[0]
     if N < 10:
         raise DataError("need at least 10 states for diagnostics")

@@ -287,11 +287,10 @@ def pool_results(runs: list[ISResult]) -> ISResult:
 
 
 def _study_replicate(seed, spec, beta0, sigma2_0, lambda_stars, statistic, t_stars, L,
-                     basis, trial, m_dagger, l_pilot) -> list[ISResult]:
-    """One replicate: tune the trial unless given, sample it once, reweight per target."""
+                     basis, m_dagger, l_pilot) -> list[ISResult]:
+    """One replicate: tune the trial, sample it once, reweight per target."""
     tune_seq, sample_seq = seed_sequence(seed).spawn(2)
-    if trial is None:
-        trial = tune_trial(spec, sigma2_0, m_dagger, l_pilot, tune_seq)
+    trial = tune_trial(spec, sigma2_0, m_dagger, l_pilot, tune_seq)
     chain = sample_trial(spec, beta0, trial, L, sample_seq)
     return multi_test(
         chain, spec, basis, sigma2_0, lambda_stars, statistic, t_stars, trial, beta0
@@ -308,7 +307,6 @@ def multi_pvalue_study(
     L: int,
     seed: Seed,
     basis: SpectralBasis | None = None,
-    trial: TrialSpec | None = None,
     m_dagger: float = 5.0,
     l_pilot: int = 100,
     replicates: int = 1,
@@ -349,7 +347,7 @@ def multi_pvalue_study(
     run = functools.partial(
         _study_replicate, spec=spec, beta0=beta0, sigma2_0=sigma2_0,
         lambda_stars=lambda_stars, statistic=statistic, t_stars=t_stars, L=L,
-        basis=basis, trial=trial, m_dagger=m_dagger, l_pilot=l_pilot,
+        basis=basis, m_dagger=m_dagger, l_pilot=l_pilot,
     )
     seeds = seed_sequence(seed).spawn(replicates) if replicates > 1 else [seed]
     if workers > 1 and replicates > 1:
@@ -374,7 +372,6 @@ def pvalue_study(
     L: int,
     seed: Seed,
     basis: SpectralBasis | None = None,
-    trial: TrialSpec | None = None,
     m_dagger: float = 5.0,
     l_pilot: int = 100,
     replicates: int = 1,
@@ -382,5 +379,5 @@ def pvalue_study(
     """The one-target case of :func:`multi_pvalue_study`, run in-process."""
     return multi_pvalue_study(
         spec, beta0, sigma2_0, [lambda_star], statistic, [t_star], L, seed,
-        basis=basis, trial=trial, m_dagger=m_dagger, l_pilot=l_pilot, replicates=replicates,
+        basis=basis, m_dagger=m_dagger, l_pilot=l_pilot, replicates=replicates,
     )[0]

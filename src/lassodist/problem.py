@@ -88,6 +88,15 @@ class ProblemSpec:
     def log_det_gram(self) -> float:
         return float(2.0 * np.sum(np.log(np.diag(self.gram_cholesky))))
 
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        """``log w``, which every :func:`log_det_jacobian` call gathers from."""
+        return np.log(self.weights)
+
+    @cached_property
+    def log_lam(self) -> float:
+        return float(np.log(self.lam))
+
     def gram_solve(self, u: np.ndarray) -> np.ndarray:
         """Solve ``gram @ x = u`` (vector or stacked columns) by one O(p^3) LU.
 
@@ -230,14 +239,14 @@ def log_det_jacobian(A: np.ndarray, spec: ProblemSpec) -> float:
         If the active Gram block is singular.
     """
     mask = _active_mask(A, spec.p)
-    block = spec.gram[mask][:, mask]
+    block = spec.gram.compress(mask, axis=0).compress(mask, axis=1)
     logdet = 0.0
     if block.size:
         sign, logdet = np.linalg.slogdet(block)
         if sign <= 0 or not math.isfinite(logdet):
             raise NumericalError("active Gram block is singular")
     k = block.shape[0]
-    return float(logdet + (spec.p - k) * np.log(spec.lam) + np.log(spec.weights[~mask]).sum())
+    return float(logdet + (spec.p - k) * spec.log_lam + spec.log_weights[~mask].sum())
 
 
 def synthetic_dataset(

@@ -27,7 +27,6 @@ __all__ = [
     "LassoSolution",
     "solve_lasso",
     "solve_lasso_gram",
-    "subgradient_of",
     "lambda_max",
     "lambda_grid",
 ]
@@ -83,10 +82,10 @@ def solve_lasso_gram(
     only if its objective does not rise (``_orthant_step``); a row whose
     signs hold takes the minimizer whole.  An exactly singular block
     (duplicate columns) makes the batched solve fail; that pass then
-    solves the rows one at a time, and a row whose own block is singular
-    keeps its iterate.  The KKT residual of every row is recomputed after
-    each pass, and rows within tolerance retire: the KKT check is the only
-    stopping rule.
+    solves the nonsingular blocks in one batch again, and a row whose own
+    block is singular keeps its iterate.  The KKT residual of every row is
+    recomputed after each pass, and rows within tolerance retire: the KKT
+    check is the only stopping rule.
 
     The tolerance on coordinate j is ``min(kkt_tol, S_TOL * lam * w_j / 2)``:
     at small penalties the KKT residual alone would leave the subgradient
@@ -236,12 +235,10 @@ def _support_solve(
     try:
         sol = np.linalg.solve(block, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
+        # slogdet's LU meets an exactly zero pivot where solve's does.
         sol = np.full_like(rhs, np.nan)
-        for i in range(len(block)):
-            try:
-                sol[i] = np.linalg.solve(block[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
+        ok = np.linalg.slogdet(block)[0] != 0
+        sol[ok] = np.linalg.solve(block[ok], rhs[ok, :, None])[:, :, 0]
     cand.T[col, coord] = sol[col, pos]
     return cand
 
@@ -336,22 +333,6 @@ def solve_lasso(
             f"in double precision ({exc})"
         ) from exc
     return LassoSolution(beta_hat=beta, subgrad=subgrad, active=beta != 0, kkt_residual=res)
-
-
-def subgradient_of(spec: ProblemSpec, y: np.ndarray, beta_hat: np.ndarray) -> np.ndarray:
-    """Subgradient implied by a minimizer: ``X'(y - X beta)/ (n lam w)``.
-
-    Raises
-    ------
-    DataError
-        If the implied vector is inconsistent with ``beta_hat`` being a
-        minimizer (sign mismatch on the support, or magnitude above 1
-        beyond tolerance off the support).
-    """
-    y = np.asarray(y, dtype=float)
-    beta_hat = np.asarray(beta_hat, dtype=float)
-    raw = spec.X.T @ (y - spec.X @ beta_hat) / (spec.n * spec.lam * spec.weights)
-    return _snap_subgradient(beta_hat, raw)
 
 
 def lambda_max(spec: ProblemSpec, y: np.ndarray) -> float | np.ndarray:

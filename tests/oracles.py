@@ -3,10 +3,12 @@
 Everything here is deliberately naive: sign-pattern enumeration instead
 of coordinate descent, dense matrix assembly instead of incremental
 updates, quadrature instead of sampling.  Tests compare the package
-against these, never against itself.  The one exception is
-``ReferenceMhEngine``: the MH move kernel one proposal at a time, which
+against these, never against itself.  The two exceptions are
+``ReferenceMhEngine``, the MH move kernel one proposal at a time, which
 shares the sampler's density kernel, seeds and start, and against which
-the sampler's inlined sweep loop is required to be bit-identical.
+the sampler's inlined sweep loop is required to be bit-identical; and
+``support_solve_loop``, the solver's support solve one column at a time,
+against which its batched solve is required to be bit-identical.
 """
 from __future__ import annotations
 
@@ -323,6 +325,33 @@ def coordinate_descent(
         for g, tj, bj in zip(grad, t, b)
     ]
     return np.array(b), np.array(subgrad)
+
+
+def support_solve_loop(
+    gram: np.ndarray, target: np.ndarray, lam_w: np.ndarray, B: np.ndarray
+) -> np.ndarray:
+    """Each column's exact minimizer on its support A and signs s, solved alone.
+
+    The reference for ``solver._support_solve``: column i solves
+    ``C_AA b_A = c_A - lam W_A s_A`` with ``np.linalg.solve``, its block
+    gathered with ``np.ix_`` and padded with the identity up to the
+    largest support, as the batched solve pads it, because LAPACK's
+    rounding depends on the block size.  A column whose block is singular
+    gets NaN on its support.
+    """
+    k = int((B != 0).sum(axis=0).max(initial=0))
+    ref = np.zeros_like(B)
+    for i in range(B.shape[1]):
+        A = np.flatnonzero(B[:, i])
+        block = np.eye(k)
+        block[: A.size, : A.size] = gram[np.ix_(A, A)]
+        rhs = np.zeros(k)
+        rhs[: A.size] = target[A, i] - lam_w[A, 0] * np.sign(B[A, i])
+        try:
+            ref[A, i] = np.linalg.solve(block, rhs)[: A.size]
+        except np.linalg.LinAlgError:
+            ref[A, i] = np.nan
+    return ref
 
 
 def lasso_homotopy(

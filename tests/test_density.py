@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,8 +80,9 @@ def test_score_kernel_block_equals_stacked_rows(small_spec, wide_spec, wide):
     basis = spectral_decompose(spec) if wide else None
     beta = np.linspace(-0.5, 0.5, spec.p)
     chain = direct_sample(spec, beta, Gaussian(1.0), 25, 8)
-    u = scores(chain.thetas, chain.active, beta, spec, lam=0.7)
-    rows = [scores(t, a, beta, spec, lam=0.7) for t, a in zip(chain.thetas, chain.active)]
+    at = replace(spec, lam=0.7)
+    u = scores(chain.thetas, chain.active, beta, at)
+    rows = [scores(t, a, beta, at) for t, a in zip(chain.thetas, chain.active)]
     np.testing.assert_allclose(u, rows, rtol=1e-13, atol=1e-14)
     q = score_qform(u, spec, basis)
     assert q.shape == (25,)

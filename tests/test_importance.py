@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,7 +143,8 @@ def test_log_weights_repeated_penalties_equal_per_penalty_scores(small_spec, wid
         k = chain.active.sum(axis=1)
 
         def qform(lam):
-            return score_qform(scores(chain.thetas, chain.active, beta0, spec, lam), spec, basis)
+            u = scores(chain.thetas, chain.active, beta0, replace(spec, lam=lam))
+            return score_qform(u, spec, basis)
 
         for row, lam in zip(block, lambda_stars.tolist()):
             single = chain_log_weights(chain, spec, basis, 0.7, lam, trial, beta0)

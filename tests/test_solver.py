@@ -21,11 +21,16 @@ from lassodist import (
     lambda_max,
     solve_lasso,
     solve_lasso_gram,
-    subgradient_of,
 )
 from lassodist.solver import KKT_TOL
 
-from oracles import coordinate_descent, enumerate_lasso, lasso_homotopy, soft_threshold
+from oracles import (
+    coordinate_descent,
+    enumerate_lasso,
+    lasso_homotopy,
+    soft_threshold,
+    support_solve_loop,
+)
 
 
 def test_identity_gram_soft_thresholds():
@@ -34,20 +39,21 @@ def test_identity_gram_soft_thresholds():
     assert res <= 1e-8
 
 
-def test_subgradient_of_recovers_known_values(identity_spec):
+def test_solution_subgradient_recovers_known_values(identity_spec):
     y = np.array([2.0, 0.3]) @ np.linalg.inv(identity_spec.X.T / identity_spec.n)
     fit = solve_lasso(identity_spec, y)
     np.testing.assert_allclose(fit.beta_hat, [1.5, 0.0], atol=1e-10)
     np.testing.assert_allclose(fit.subgrad, [1.0, 0.6], atol=1e-10)
-    s = subgradient_of(identity_spec, y, fit.beta_hat)
-    np.testing.assert_allclose(s, [1.0, 0.6], atol=1e-10)
 
 
 def test_perturbed_solution_rejected(identity_spec):
-    y = np.array([2.0, 0.3]) @ np.linalg.inv(identity_spec.X.T / identity_spec.n)
-    fit = solve_lasso(identity_spec, y)
+    """The snap that ``solve_lasso`` applies rejects a point that is not a minimizer."""
+    spec = identity_spec
+    y = np.array([2.0, 0.3]) @ np.linalg.inv(spec.X.T / spec.n)
+    beta = solve_lasso(spec, y).beta_hat + np.array([0.3, 0.0])
+    raw = spec.X.T @ (y - spec.X @ beta) / (spec.n * spec.lam * spec.weights)
     with pytest.raises(DataError):
-        subgradient_of(identity_spec, y, fit.beta_hat + np.array([0.3, 0.0]))
+        lassodist.solver._snap_subgradient(beta, raw)
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,14 +384,15 @@ def test_singular_support_block_falls_back_to_coordinate_descent():
     st.booleans(),
 )
 def test_support_solve_equals_per_row_solves(seed, p, L, singular):
-    """The one-gather support solve equals a per-row gather and solve bit for bit.
+    """The one-gather support solve equals ``support_solve_loop`` bit for bit.
 
-    Row i's reference gathers C_AA with ``np.ix_`` and solves it alone.  It
-    pads the block with the identity up to the largest support, as the
-    batched solve does, because LAPACK's rounding depends on the block size.
     The last column has a full support (k = p) and column 0 an empty one.
-    With ``singular``, coordinates 0 and 1 are duplicates and form column
-    1's support, whose candidate is then NaN.
+    With ``singular``, coordinates 0 and 1 are duplicate columns of a
+    unit-diagonal Gram, and column 1, the last column and about half the
+    others hold both, among other coordinates.  Their blocks' first pivot
+    is 1, which makes LAPACK's elimination of the duplicate row exact, so
+    they are exactly singular: the batched solve fails, the other blocks
+    are solved in one batch again, and the singular ones get NaN.
     """
     gen = np.random.default_rng(seed)
     X = gen.standard_normal((p + int(gen.integers(0, 5)), p))
@@ -395,33 +402,20 @@ def test_support_solve_equals_per_row_solves(seed, p, L, singular):
     B[:, -1] = gen.standard_normal(p)
     if L > 1:
         B[:, 0] = 0.0
+    pair = np.zeros(L, dtype=bool)
     if singular and p >= 2 and L >= 3:
-        # A unit pivot makes LAPACK's elimination of the duplicate row exact.
-        gram[0] /= np.sqrt(gram[0, 0])
-        gram[:, 0] = gram[0]
-        gram[0, 0] = 1.0
-        gram[:, 1] = gram[:, 0]
-        gram[1] = gram[0]
-        B[:, 1] = 0.0
-        B[:2, 1] = [0.5, -0.5]
+        X /= np.linalg.norm(X, axis=0)
+        gram = X.T @ X
+        gram[1], gram[:, 1] = gram[0], gram[:, 0]
+        gram[:2, :2] = 1.0
+        pair = gen.random(L) < 0.5
+        pair[[0, 1, -1]] = False, True, True
+        size = (2, int(pair.sum()))
+        B[:2, pair] = gen.choice([-1.0, 1.0], size) * gen.uniform(0.1, 1.0, size)
     lam_w = gen.uniform(0.1, 1.0, (p, 1))
     cand = lassodist.solver._support_solve(gram, target, lam_w, B)
-
-    k = int((B != 0).sum(axis=0).max())
-    ref = np.zeros_like(B)
-    for i in range(L):
-        A = np.flatnonzero(B[:, i])
-        block = np.eye(k)
-        block[: A.size, : A.size] = gram[np.ix_(A, A)]
-        rhs = np.zeros(k)
-        rhs[: A.size] = target[A, i] - lam_w[A, 0] * np.sign(B[A, i])
-        try:
-            ref[A, i] = np.linalg.solve(block, rhs)[: A.size]
-        except np.linalg.LinAlgError:
-            ref[A, i] = np.nan
-    assert cand.tobytes() == ref.tobytes()
-    if singular and p >= 2 and L >= 3:
-        assert np.isnan(cand[:2, 1]).all()
+    assert cand.tobytes() == support_solve_loop(gram, target, lam_w, B).tobytes()
+    assert np.isnan(cand[:2, pair]).all()
     if L > 1:
         assert not cand[:, 0].any()
 
