@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .density import Gaussian, StudentT
-from .errors import ConfigError, DataError, LassodistError, check_positive
+from .errors import ConfigError, DataError, LassodistError, check_positive, check_vector
 from .estimation import (
     acceptance_band_report,
     chain_diagnostics,
@@ -113,10 +113,7 @@ def _load_problem(args: argparse.Namespace):
     X, weights = _load_design(args)
     y = _load_vector(args.y)
     unit = build_problem(X, weights, 1.0)
-    if y.shape != (unit.n,):
-        raise DataError(f"response must hold {unit.n} values, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise DataError("response contains non-finite entries")
+    y = check_vector("response", y, unit.n)
     if args.lam is not None:
         check_positive("--lambda", args.lam)
         lam = float(args.lam)
@@ -133,10 +130,7 @@ def _load_problem(args: argparse.Namespace):
 def _resolve_center(args: argparse.Namespace, spec, y: np.ndarray) -> np.ndarray:
     """Coefficient vector the sampled law is centered at."""
     if getattr(args, "beta", None) is not None:
-        beta = _load_vector(args.beta)
-        if beta.shape != (spec.p,):
-            raise DataError(f"beta file must hold {spec.p} values, got {beta.shape[0]}")
-        return beta
+        return check_vector("--beta", _load_vector(args.beta), spec.p)
     fit = solve_lasso(spec, y)
     if getattr(args, "b_th", None) is not None:
         return threshold_estimator(fit.beta_hat, args.b_th)
@@ -322,7 +316,7 @@ def _cmd_sample_cond(args: argparse.Namespace) -> int:
 
     if args.active.strip():
         try:
-            active = np.array(sorted({int(tok) for tok in args.active.split(",")}))
+            active = np.array(sorted(int(tok) for tok in args.active.split(",")))
         except ValueError as exc:
             raise ConfigError(f"cannot parse --active {args.active!r}") from exc
     else:
@@ -338,10 +332,7 @@ def _cmd_sample_cond(args: argparse.Namespace) -> int:
 def _null_beta(args: argparse.Namespace, p: int) -> np.ndarray:
     if args.null_beta == "zero":
         return np.zeros(p)
-    beta0 = _load_vector(args.null_beta)
-    if beta0.shape != (p,):
-        raise DataError(f"null beta file must hold {p} values, got {beta0.shape[0]}")
-    return beta0
+    return check_vector("--null-beta", _load_vector(args.null_beta), p)
 
 
 def _tail_payload(args: argparse.Namespace, results, t_stars) -> dict:

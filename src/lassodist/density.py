@@ -4,7 +4,8 @@ The augmented estimator lives on a union of faces indexed by the active
 set: coefficients on the active coordinates, subgradient values on the
 rest.  This module evaluates its exact density in both regimes, p <= n
 (full score space) and p > n (row-space coordinates plus a linear
-constraint on the subgradient).
+constraint on the subgradient).  Every active (or inactive) set argument
+holds indices or is a (p,) bool mask, read by ``problem._active_mask``.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, check_positive
-from .problem import ProblemSpec, SpectralBasis, log_det_jacobian
+from .errors import ConfigError, DataError, NumericalError, check_positive, check_vector
+from .problem import ProblemSpec, SpectralBasis, _active_mask, log_det_jacobian
 
 __all__ = [
     "Gaussian",
@@ -217,6 +218,7 @@ def _score_parts(
     thetas: np.ndarray, active: np.ndarray, beta: np.ndarray, spec: ProblemSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """The penalty-free parts ``C (beta_hat - beta)`` and ``S`` of :func:`scores`."""
+    beta = check_vector("beta", beta, spec.p)
     thetas = np.asarray(thetas, dtype=float)
     beta_hat = np.where(active, thetas, 0.0)
     subgrad = np.where(active, np.sign(thetas), thetas)
@@ -240,11 +242,11 @@ def score_qform(
 
 def _assemble_jacobian(A: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """The p x p matrix sending (b_A, s_I) to the score: (C_A | lam W_I)."""
-    idx = np.sort(np.asarray(A, dtype=int).ravel())
-    inactive = np.setdiff1d(np.arange(spec.p), idx)
+    mask = _active_mask(A, spec.p)
+    k = np.count_nonzero(mask)
     D = np.zeros((spec.p, spec.p))
-    D[:, : idx.size] = spec.gram[:, idx]
-    D[inactive, np.arange(idx.size, spec.p)] = spec.lam * spec.weights[inactive]
+    D[:, :k] = spec.gram[:, mask]
+    D[~mask, np.arange(k, spec.p)] = spec.lam * spec.weights[~mask]
     return D
 
 
@@ -257,16 +259,17 @@ def gaussian_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of (b_A, s_I) under the Gaussian score model.
 
-    Coordinates are ordered active block first (ascending index), then
-    inactive block.  Requires a nonsingular active Gram block, which a
-    p > n design allows for |A| <= n; the covariance is then singular.
+    Coordinates are ordered active block first (ascending index, the
+    order of ``s_active``), then inactive block.  Requires a nonsingular
+    active Gram block, which a p > n design allows for |A| <= n; the
+    covariance is then singular.
     """
-    idx = np.sort(np.asarray(A, dtype=int).ravel())
-    s_active = np.asarray(s_active, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    D = _assemble_jacobian(idx, spec)
+    mask = _active_mask(A, spec.p)
+    s_active = check_vector("s_active", s_active, np.count_nonzero(mask))
+    beta = check_vector("beta", beta, spec.p)
+    D = _assemble_jacobian(mask, spec)
     rhs = spec.gram @ beta
-    rhs[idx] -= spec.lam * spec.weights[idx] * s_active
+    rhs[mask] -= spec.lam * spec.weights[mask] * s_active
     try:
         Dinv = np.linalg.inv(D)
     except np.linalg.LinAlgError as exc:
@@ -302,8 +305,8 @@ def inactive_null_basis(
 
     Returns a |I| x (n - |A|) matrix B with V_IN' W_II B = 0.
     """
-    inactive = np.sort(np.asarray(I, dtype=int).ravel())
-    n_active = spec.p - inactive.size
+    inactive = _active_mask(I, spec.p)
+    n_active = spec.p - np.count_nonzero(inactive)
     target_dim = spec.n - n_active
     if target_dim < 0:
         raise ConfigError("active set larger than n has no constrained density")
@@ -312,7 +315,7 @@ def inactive_null_basis(
     # scipy.linalg.null_space's rank rule: singular values above max(M, N) eps s_max.
     rank = int(np.sum(sv > max(M.shape) * np.finfo(float).eps * np.max(sv, initial=0.0)))
     B = vh[rank:].T
-    if B.shape != (inactive.size, target_dim):
+    if B.shape != (spec.p - n_active, target_dim):
         raise NumericalError(
             "null-space dimension mismatch: design violates the "
             "every-n-columns-independent assumption"
@@ -342,18 +345,14 @@ def log_det_rowspace_jacobian(
     the constrained inactive directions; any orthonormal basis of the same
     subspace gives the same value.
     """
-    idx = np.sort(np.asarray(A, dtype=int).ravel())
-    mask = np.zeros(spec.p, dtype=bool)
-    mask[idx] = True
-    inactive = np.nonzero(~mask)[0]
+    mask = _active_mask(A, spec.p)
+    inactive, k = ~mask, np.count_nonzero(mask)
     B = inactive_null_basis(inactive, basis, spec) if null_span is None else null_span
-    if B.shape != (inactive.size, spec.n - idx.size):
+    if B.shape != (spec.p - k, spec.n - k):
         raise ConfigError("null_span has the wrong shape for this active set")
     T = np.empty((spec.n, spec.n))
-    T[:, : idx.size] = basis.row_basis.T @ spec.gram[:, idx]
-    T[:, idx.size :] = spec.lam * (
-        (basis.row_basis[inactive, :].T * spec.weights[inactive]) @ B
-    )
+    T[:, :k] = basis.row_basis.T @ spec.gram[:, mask]
+    T[:, k:] = spec.lam * ((basis.row_basis[inactive, :].T * spec.weights[inactive]) @ B)
     sign, logdet = np.linalg.slogdet(T)
     if sign == 0 or not np.isfinite(logdet):
         raise NumericalError("row-space Jacobian is singular")
@@ -376,10 +375,9 @@ def log_density_rowspace(
     dimension n describing the whitened row-space score.  ``null_span``
     passes through to the Jacobian computation.
     """
-    validate_state(theta, active, spec.p)
     if spec.p <= spec.n:
         raise ConfigError("row-space density applies only to p > n designs")
-    resid = rowspace_residual(theta, active, basis, spec)
+    resid = rowspace_residual(theta, active, basis, spec)  # validates the state
     if resid > C_TOL:
         raise DataError(
             f"subgradient violates the row-space constraint ({resid:.3e} > {C_TOL:g})"
@@ -390,9 +388,7 @@ def log_density_rowspace(
     log_f = qform_log_density(
         model, spec.n, float(np.sum(np.log(basis.eigenvalues))), spec.n
     )(qform)
-    return log_f + log_det_rowspace_jacobian(
-        np.flatnonzero(active), spec, basis, null_span=null_span
-    )
+    return log_f + log_det_rowspace_jacobian(active, spec, basis, null_span=null_span)
 
 
 def sample_errors(

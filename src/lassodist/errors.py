@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and its one parameter check."""
+"""Exception hierarchy shared across the package, and its parameter and vector checks."""
 from __future__ import annotations
 
 import math
@@ -70,3 +70,17 @@ def check_positive(name: str, value: float, *, zero_ok: bool = False) -> None:
     if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
         bound = "nonnegative" if zero_ok else "positive"
         raise ConfigError(f"{name} must be finite and {bound}, got {value}")
+
+
+def check_vector(name: str, value, size: int) -> np.ndarray:
+    """``value`` as a float (size,) array; ``DataError`` naming ``name`` otherwise.
+
+    The one check of a centre vector or a response: it must hold ``size``
+    finite values.
+    """
+    vector = np.asarray(value, dtype=float)
+    if vector.shape != (size,):
+        raise DataError(f"{name} must hold {size} values, got shape {vector.shape}")
+    if not np.all(np.isfinite(vector)):
+        raise DataError(f"{name} contains non-finite entries")
+    return vector

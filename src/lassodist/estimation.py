@@ -21,12 +21,12 @@ from .density import (
     gaussian_moments,
     radial_log_norm,
 )
-from .errors import ConfigError, ConvergenceError, DataError, NumericalError, check_positive
+from .errors import ConfigError, DataError, NumericalError, check_positive, check_vector
 from .importance import _statistic_values
 from .problem import ProblemSpec
 from .rng import Seed, generator
-from .samplers import Chain, active_bitmask
-from .solver import solve_lasso, solve_lasso_gram
+from .samplers import Chain, _solved_chain, active_bitmask
+from .solver import solve_lasso_gram
 
 __all__ = [
     "SummaryStats",
@@ -83,9 +83,7 @@ def estimate_sigma2(spec: ProblemSpec, y: np.ndarray, beta_check: np.ndarray) ->
     """Residual-based noise variance: ||y - X beta_check||^2 / (n - p)."""
     if spec.p >= spec.n:
         raise ConfigError("residual variance estimation requires p < n")
-    y = np.asarray(y, dtype=float)
-    beta_check = np.asarray(beta_check, dtype=float)
-    resid = y - spec.X @ beta_check
+    resid = check_vector("y", y, spec.n) - spec.X @ check_vector("beta_check", beta_check, spec.p)
     return float(resid @ resid / (spec.n - spec.p))
 
 
@@ -108,8 +106,7 @@ def fit_elliptical_model(
     """
     if spec.p > spec.n:
         raise ConfigError("the elliptical fit requires p <= n")
-    y = np.asarray(y, dtype=float)
-    resid = y - spec.X @ np.asarray(beta_check, dtype=float)
+    resid = check_vector("y", y, spec.n) - spec.X @ check_vector("beta_check", beta_check, spec.p)
     resid = resid - resid.mean()
     if not np.any(resid != 0.0):
         raise DataError("residuals are identically zero; nothing to resample")
@@ -200,9 +197,7 @@ def sign_consistency_prob(
     check_positive("noise variance sigma2", sigma2, zero_ok=True)
     if L < 1:
         raise ConfigError("need at least one draw")
-    beta0 = np.asarray(beta0, dtype=float)
-    if beta0.shape != (spec.p,):
-        raise DataError(f"beta0 must have shape ({spec.p},), got {beta0.shape}")
+    beta0 = check_vector("beta0", beta0, spec.p)
     support = np.nonzero(beta0)[0]
     if support.size > spec.n:
         raise ConfigError("a support larger than n is never recoverable")
@@ -255,9 +250,7 @@ def posterior_decision_sample(
         raise ConfigError("the posterior draw requires p < n")
     if L < 1:
         raise ConfigError("need at least one draw")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (spec.n,):
-        raise DataError(f"response must have shape ({spec.n},), got {y.shape}")
+    y = check_vector("response", y, spec.n)
     lam_eff = spec.lam if lam is None else float(lam)
     if lam_eff < 0:
         raise ConfigError("penalty override must be nonnegative")
@@ -284,23 +277,15 @@ def posterior_decision_sample(
     draws = ols + scale * spread * mix[:, None]
 
     if lam_eff == 0.0:
-        thetas, active, worst = draws, draws != 0.0, 0.0
-    else:
-        # The decision for a draw b is the lasso fit to the noiseless response X b.
-        try:
-            sol = solve_lasso(replace(spec, lam=lam_eff), draws @ spec.X.T, kkt_tol=1e-10)
-        except ConvergenceError as err:
-            err.seed = seed
-            raise
-        thetas = np.where(sol.active, sol.beta_hat, sol.subgrad)
-        active, worst = sol.active, sol.kkt_residual
-    return Chain(
-        thetas=thetas,
-        active=active,
-        iterations=np.arange(L),
-        seed=seed if isinstance(seed, int) else None,
-        max_kkt_residual=worst,
-    )
+        return Chain(
+            thetas=draws,
+            active=draws != 0.0,
+            iterations=np.arange(L),
+            seed=seed if isinstance(seed, int) else None,
+            max_kkt_residual=0.0,
+        )
+    # The decision for a draw b is the lasso fit to the noiseless response X b.
+    return _solved_chain(replace(spec, lam=lam_eff), draws @ spec.X.T, seed, kkt_tol=1e-10)
 
 
 def recentered_minimizer(
@@ -314,9 +299,8 @@ def recentered_minimizer(
     returns the difference from ``center``: the minimizer of the recentred
     objective in the shift variable.
     """
-    center = np.asarray(center, dtype=float)
-    u = np.asarray(u, dtype=float)
-    xty = spec.gram @ center + u
+    center = check_vector("center", center, spec.p)
+    xty = spec.gram @ center + check_vector("u", u, spec.p)
     beta, _ = solve_lasso_gram(spec.gram, xty, spec.weights, spec.lam, kkt_tol=1e-12)
     return beta - center
 

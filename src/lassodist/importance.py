@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density import Gaussian, _score_parts, score_qform
-from .errors import ConfigError, DataError, NumericalError, check_positive
+from .errors import ConfigError, DataError, NumericalError, check_positive, check_vector
 from .problem import ProblemSpec, SpectralBasis, spectral_decompose
 from .rng import Seed, generator, seed_sequence
 from .samplers import Chain, direct_sample
@@ -323,9 +323,10 @@ def multi_pvalue_study(
     ``min(workers, replicates)`` processes, with the same results; then
     ``statistic`` must pickle, as the named ones do.  Targets that are not
     two 1-D, non-empty arrays of equal length, a target penalty that is
-    not finite and positive, or a NaN threshold is a ConfigError before
-    any sampling.
+    not finite and positive, or a NaN threshold is a ConfigError, and a
+    ``beta0`` that is not p finite values a DataError, before any sampling.
     """
+    beta0 = check_vector("beta0", beta0, spec.p)
     lambda_stars = np.asarray(lambda_stars, dtype=float)
     t_stars = np.asarray(t_stars, dtype=float)
     if lambda_stars.ndim != 1 or lambda_stars.size == 0 or t_stars.shape != lambda_stars.shape:

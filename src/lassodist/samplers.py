@@ -28,7 +28,7 @@ from .density import (
     scores,
     validate_state,
 )
-from .errors import ConfigError, ConvergenceError, DataError, NumericalError
+from .errors import ConfigError, ConvergenceError, DataError, NumericalError, check_vector
 from .problem import ProblemSpec, _active_mask, log_det_jacobian
 from .rng import Seed, generator, seed_sequence
 from .solver import solve_lasso
@@ -142,7 +142,7 @@ def default_sampler_config(
     k = K if K is not None else math.ceil(p / 5)
     if beta_ref is not None and spec.p <= spec.n:
         zeta = np.sqrt(sigma2_hat * np.diag(spec.gram_inv) / spec.n)
-        omega = _normal_cdf(-np.abs(np.asarray(beta_ref, dtype=float)) / zeta)
+        omega = _normal_cdf(-np.abs(check_vector("beta_ref", beta_ref, p)) / zeta)
         omega0 = float(omega.sum()) / (5.0 * p)
         alpha = omega + omega0
         tau = 2.0 * zeta
@@ -190,19 +190,24 @@ def direct_sample(
     """
     if L < 1:
         raise ConfigError("need at least one draw")
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (spec.p,):
-        raise DataError(f"beta must have shape ({spec.p},), got {beta.shape}")
+    beta = check_vector("beta", beta, spec.p)
     noise = sample_errors(model, spec.n, L, generator(seed))
+    return _solved_chain(spec, spec.X @ beta + noise, seed)
+
+
+def _solved_chain(
+    spec: ProblemSpec, responses: np.ndarray, seed: Seed | np.random.Generator, **solve_kwargs
+) -> Chain:
+    """Lasso fits of a block of responses as ``Chain`` rows; a ConvergenceError gets ``seed``."""
     try:
-        sol = solve_lasso(spec, spec.X @ beta + noise)
+        sol = solve_lasso(spec, responses, **solve_kwargs)
     except ConvergenceError as err:
         err.seed = seed
         raise
     return Chain(
         thetas=np.where(sol.active, sol.beta_hat, sol.subgrad),
         active=sol.active,
-        iterations=np.arange(L),
+        iterations=np.arange(len(responses)),
         seed=seed if isinstance(seed, int) else None,
         max_kkt_residual=sol.kkt_residual,
     )
@@ -260,7 +265,7 @@ class _MhEngine:
         self, spec: ProblemSpec, beta: np.ndarray, model: ErrorModel, tau: np.ndarray
     ) -> None:
         self.spec = spec
-        self.beta = np.asarray(beta, dtype=float)
+        self.beta = beta
         # log_det_gram raises NumericalError when the Gram is not PD.
         self.log_f = qform_log_density(model, spec.p, spec.log_det_gram, spec.n)
         self.tau = np.asarray(tau, dtype=float).tolist()
@@ -425,7 +430,7 @@ def _mh_chain(
     if spec.p > spec.n:
         raise ConfigError(wide_message)
     _validate_config(config, spec.p)
-    beta = np.asarray(beta, dtype=float)
+    beta = check_vector("beta", beta, spec.p)
     init_seed, moves_seq = seed_sequence(config.seed).spawn(2)
     theta0, active0, burn_in = _initial_state(
         spec, beta, model, config, init, init_seed, target, max_init_draws
@@ -542,9 +547,10 @@ def read_chain_csv(path: str | Path) -> Chain:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            rows = [line.split(",") for line in map(str.strip, fh) if line]
-    except OSError as exc:
+            lines = list(map(str.strip, fh))
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read chain CSV {path}: {exc}") from exc
+    rows = [line.split(",") for line in lines if line]
     if not rows:
         raise DataError("chain CSV is empty")
     if len({len(cells) for cells in rows}) != 1:
@@ -561,8 +567,7 @@ def read_chain_csv(path: str | Path) -> Chain:
         parsed = False
     if not parsed:
         i, fault = next((i, f) for i, cells in enumerate(rows) if (f := _row_fault(cells, p)))
-        with open(path, encoding="utf-8") as fh:
-            line = [k for k, text in enumerate(fh, 1) if text.strip()][i]
+        line = [k for k, text in enumerate(lines, 1) if text][i]
         raise DataError(f"chain CSV line {line}: {fault}")
     width = (p + 7) // 8
     masks = b"".join(m.to_bytes(width, "little") for m in masks)

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import lassodist.samplers
 from lassodist import cli
 from lassodist.cli import main
 from lassodist.samplers import read_chain_csv
@@ -272,12 +273,21 @@ def test_pvalue_workers_capped_at_replicates(tmp_path, monkeypatch, capsys):
     ],
     ids=["bad-mask", "bad-theta", "mask-past-p"],
 )
-def test_diagnose_malformed_chain_exits_two(tmp_path, capsys, row, fault):
+def test_diagnose_malformed_chain_exits_two(tmp_path, capsys, monkeypatch, row, fault):
     chain = tmp_path / "chain.csv"
     chain.write_text(f"1,1,0.5,0.1\n\n{row}\n4,2,0.5,0.1\n")
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    # The bad row's line number comes from the lines already read: one open.
+    monkeypatch.setattr(lassodist.samplers, "open", counting_open, raising=False)
     assert run("diagnose", "--chain", chain, "--g", "l1", "--out-dir", tmp_path / "d") == 2
     err = capsys.readouterr().err
     assert "chain CSV line 3: " in err and fault in err
+    assert opened == [str(chain)]
 
 
 def test_diagnose_reports_and_histogram(tmp_path):
@@ -560,6 +570,8 @@ def test_failing_commands_leave_an_out_dir_absent_or_unchanged(tmp_path, capsys)
     tail = ("--x", data / "X.csv", "--sigma2", 1.0, "--lambda-star", 0.5, "--t-star", 0.4,
             "--L", 50, "--l-pilot", 20)
     chain = ("diagnose", "--chain", run_dir / "chain.csv")
+    nan = tmp_path / "nan.csv"
+    np.savetxt(nan, [0.5, np.nan, 0.0, 0.0, 0.0], delimiter=",")
     failing = [
         (1, "sample-joint", *xy, "--method", "mls", "--K", 0, *SHORT_CHAIN, "--seed", 1),
         (1, "sample-joint", *xy, "--method", "direct", "--lambda-grid", 0, "--iters", 20,
@@ -572,15 +584,24 @@ def test_failing_commands_leave_an_out_dir_absent_or_unchanged(tmp_path, capsys)
         (1, *chain, "--cost-ratio", 0),
         (2, "diagnose", "--chain", short_dir / "chain.csv"),
         (1, "sample-joint", *xy, "--method", "mls", *SHORT_CHAIN, "--seed", -1),
+        # A NaN centre file is named by its flag (it was exit 1 with mls, and
+        # "response contains non-finite entries" with direct and in pvalue).
+        (2, "sample-joint", *xy, "--method", "mls", "--beta", nan, *SHORT_CHAIN, "--seed", 1),
+        (2, "sample-joint", *xy, "--method", "direct", "--beta", nan, "--iters", 20,
+         "--seed", 1),
+        (2, "pvalue", *tail, "--null-beta", nan, "--seed", 1),
+        # Duplicate indices reach the library's check (they ran on {0, 1}).
+        (1, "sample-cond", *xy, "--active", "0,0,1", *SHORT_CHAIN, "--seed", 1),
     ]
     existing = _digest(run_dir)
     for i, (code, *argv) in enumerate(failing):
+        error = f"error: {argv[argv.index(nan) - 1]} " if nan in argv else "error:"
         out = tmp_path / f"o{i}"
         assert run(*argv, "--out-dir", out) == code, argv
-        assert capsys.readouterr().err.startswith("error:"), argv
+        assert capsys.readouterr().err.startswith(error), argv
         assert not out.exists(), argv
         assert run(*argv, "--out-dir", run_dir) == code, argv
-        assert capsys.readouterr().err.startswith("error:"), argv
+        assert capsys.readouterr().err.startswith(error), argv
         assert _digest(run_dir) == existing, argv
 
 

@@ -379,12 +379,13 @@ def test_chain_csv_round_trip(tmp_path, small_spec):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "\n\n", "1,3,0.5,0.2\n2,1,0.5\n", "1,3\n2,1\n"],
-    ids=["empty", "blank", "ragged", "no-theta"],
+    ["", "\n\n", "1,3,0.5,0.2\n2,1,0.5\n", "1,3\n2,1\n", b"1,1,0.5,\xff\n"],
+    ids=["empty", "blank", "ragged", "no-theta", "not-utf8"],
 )
 def test_read_chain_csv_rejects_malformed_files(tmp_path, text):
+    """A file that is not UTF-8 raised a bare UnicodeDecodeError."""
     path = tmp_path / "chain.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(DataError):
         read_chain_csv(path)
 
