@@ -305,7 +305,7 @@ def inactive_null_basis(
 
     Returns a |I| x (n - |A|) matrix B with V_IN' W_II B = 0.
     """
-    inactive = _active_mask(I, spec.p)
+    inactive = _active_mask(I, spec.p, "inactive")
     n_active = spec.p - np.count_nonzero(inactive)
     target_dim = spec.n - n_active
     if target_dim < 0:

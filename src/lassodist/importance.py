@@ -123,6 +123,7 @@ def chain_log_weights(
     if np.any(k > spec.n):
         raise DataError("active set larger than n has zero density in both laws")
     lambda_stars = np.asarray(lambda_star, dtype=float)
+    beta0 = check_vector("beta0", beta0, spec.p)
     coef, subgrad = _score_parts(chain.thetas, chain.active, beta0, spec)
     qforms: dict[float, np.ndarray] = {}
 
@@ -190,27 +191,33 @@ def _statistic_values(chain: Chain, statistic) -> np.ndarray:
     return values
 
 
+def _relative_weights(lw: np.ndarray) -> np.ndarray:
+    """``exp(lw - max)`` along the last axis; NaN, +inf and all -inf log weights are errors."""
+    bad = np.isnan(lw) | np.isposinf(lw)
+    if bad.any():
+        *target, i = np.argwhere(bad)[0]
+        where = f"state {i}" + "".join(f" of target {k}" for k in target)
+        raise NumericalError(f"{bad.sum()} nan or +inf log weights; first at {where}")
+    top = lw.max(axis=-1, keepdims=True)
+    if np.any(np.isneginf(top)):
+        raise NumericalError("all importance weights are zero")
+    return np.exp(lw - top)
+
+
 def _tail_estimate(
     values: np.ndarray, t_stars, log_weights: np.ndarray, lambda_stars, trial=None
 ) -> list[ISResult]:
     """Tail estimates for T targets from statistic values and (T, L) log weights.
 
     Each row is reduced by ``np.sum`` along its last axis, so a row of a
-    block gives bit for bit what it gives alone.  NaN and +inf log
-    weights are errors; -inf is a zero weight.
+    block gives bit for bit what it gives alone.  Weights come from
+    :func:`_relative_weights`.
     """
     L = len(values)
     lw = np.atleast_2d(np.asarray(log_weights, dtype=float))
     if lw.shape != (len(t_stars), L):
         raise DataError("need one log-weight per state")
-    bad = np.isnan(lw) | np.isposinf(lw)
-    if bad.any():
-        k, i = np.argwhere(bad)[0]
-        raise NumericalError(f"{bad.sum()} nan or +inf log weights; first at state {i} of target {k}")
-    top = lw.max(axis=-1, keepdims=True)
-    if np.any(np.isneginf(top)):
-        raise NumericalError("all importance weights are zero")
-    w = np.exp(lw - top)
+    w = _relative_weights(lw)
     hit = np.abs(values) >= np.asarray(t_stars, dtype=float)[:, None]
     total = np.sum(w, axis=-1)
     estimates = np.sum(np.where(hit, w, 0.0), axis=-1) / total
@@ -262,6 +269,7 @@ def sample_trial(
 ) -> Chain:
     """Exact draws from the trial distribution (trial penalty and variance)."""
     trial_spec = replace(spec, lam=trial.lambda_dagger)
+    beta0 = check_vector("beta0", beta0, spec.p)
     return direct_sample(trial_spec, beta0, Gaussian(trial.sigma2_dagger), L, seed)
 
 

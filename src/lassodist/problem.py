@@ -207,20 +207,20 @@ def spectral_decompose(spec: ProblemSpec) -> SpectralBasis:
     return SpectralBasis(eigenvalues=row_vals, row_basis=row_basis, null_basis=null_basis)
 
 
-def _active_mask(A: np.ndarray, p: int) -> np.ndarray:
-    """Boolean (p,) mask of an active set given by its indices or by such a mask."""
+def _active_mask(A: np.ndarray, p: int, kind: str = "active") -> np.ndarray:
+    """Boolean (p,) mask of a ``kind`` ("active" or "inactive") set given by indices or a mask."""
     A = np.asarray(A)
     if A.dtype == bool:
         if A.shape != (p,):
-            raise ConfigError(f"an active-set mask must have shape ({p},), got {A.shape}")
+            raise ConfigError(f"an {kind}-set mask must have shape ({p},), got {A.shape}")
         return A
     idx = A.astype(int).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= p):
-        raise ConfigError(f"active-set indices must lie in [0, {p})")
+        raise ConfigError(f"{kind}-set indices must lie in [0, {p})")
     mask = np.zeros(p, dtype=bool)
     mask[idx] = True
     if np.count_nonzero(mask) != idx.size:
-        raise ConfigError("active-set indices must be distinct")
+        raise ConfigError(f"{kind}-set indices must be distinct")
     return mask
 
 

@@ -505,11 +505,6 @@ def _hex_bitmasks(active: np.ndarray) -> list[str]:
     ]
 
 
-def active_bitmask(mask: np.ndarray) -> str:
-    """Lowercase hex encoding of the active set (bit j set when j active)."""
-    return _hex_bitmasks(np.asarray(mask, dtype=bool)[None, :])[0]
-
-
 def write_chain_csv(chain: Chain, path: str | Path) -> None:
     """Headerless CSV: iteration, active-set hex bitmask, p theta columns."""
     row = "%d,%s" + ",%.17g" * chain.p + "\n"
@@ -534,16 +529,16 @@ def _row_fault(cells: list[str], p: int) -> str | None:
     if not 0 <= mask < 1 << p:
         return f"active-set bitmask {cells[1]!r} sets bits at or above p={p}"
     try:
-        np.array(cells[2:], dtype=float)
+        finite = np.isfinite(np.array(cells[2:], dtype=float)).all()
     except ValueError:
         return "a theta cell is not a number"
-    return None
+    return None if finite else "a theta cell is not finite"
 
 
 def read_chain_csv(path: str | Path) -> Chain:
     """Read a chain written by :func:`write_chain_csv`.
 
-    An unreadable or malformed file raises DataError; a bad row is named by its line.
+    An unreadable file raises DataError, and so does a malformed or non-finite row, naming its line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -562,7 +557,7 @@ def read_chain_csv(path: str | Path) -> Chain:
         iterations = np.array([int(cells[0]) for cells in rows], dtype=int)
         masks = [int(cells[1], 16) for cells in rows]
         thetas = np.array([cells[2:] for cells in rows], dtype=float)
-        parsed = min(masks) >= 0 and max(masks) >> p == 0
+        parsed = min(masks) >= 0 and max(masks) >> p == 0 and np.isfinite(thetas).all()
     except ValueError:
         parsed = False
     if not parsed:

@@ -277,6 +277,52 @@ def tail_estimate(values, t: float, lw) -> tuple[float, float]:
     return hit / total, total * total / math.fsum(wi * wi for wi in w)
 
 
+def summarize_chain_by_column(chain, log_weights=None):
+    """Chain summaries one column and one state at a time: the reference for the block code.
+
+    Returns (select_prob, quantile_lo, quantile_hi, cond_mean, cond_sd,
+    model_freq).  Weights are exp(lw - max lw) normalized to sum 1 (uniform
+    without log weights).  Unweighted quantiles are ``np.quantile`` per
+    column; weighted ones sort the column and ``np.interp`` its cumulative
+    weights, divided by their total.  Conditional moments renormalize the
+    weights over the column's active rows, NaN where these weigh nothing.
+    Models are keyed by the hex bitmask of their active set, built bit by
+    bit, in order of first visit, with their weights summed in chain order.
+    """
+    L, p = chain.thetas.shape
+    betas = np.where(chain.active, chain.thetas, 0.0)
+    if log_weights is None:
+        w = np.full(L, 1.0 / L)
+    else:
+        lw = np.asarray(log_weights, dtype=float)
+        w = np.exp(lw - lw.max())
+        w = w / w.sum()
+    select_prob = chain.active.astype(float).T @ w
+    quantiles = np.empty((2, p))
+    cond_mean = np.full(p, np.nan)
+    cond_sd = np.full(p, np.nan)
+    for j in range(p):
+        if log_weights is None:
+            quantiles[:, j] = np.quantile(betas[:, j], [0.025, 0.975])
+        else:
+            order = np.argsort(betas[:, j])
+            cdf = np.cumsum(w[order])
+            cdf = cdf / cdf[-1]
+            quantiles[:, j] = [np.interp(q, cdf, betas[order, j]) for q in (0.025, 0.975)]
+        on = chain.active[:, j]
+        if w[on].sum() > 0:
+            wj = w[on] / w[on].sum()
+            vals = betas[on, j]
+            m = float(vals @ wj)
+            cond_mean[j] = m
+            cond_sd[j] = math.sqrt(max(float((vals - m) ** 2 @ wj), 0.0))
+    model_freq: dict[str, float] = {}
+    for row, wi in zip(chain.active, w.tolist()):
+        key = format(sum(1 << int(j) for j in np.flatnonzero(row)), "x")
+        model_freq[key] = model_freq.get(key, 0.0) + wi
+    return select_prob, quantiles[0], quantiles[1], cond_mean, cond_sd, model_freq
+
+
 def coordinate_descent(
     gram: np.ndarray,
     xty: np.ndarray,

@@ -270,10 +270,19 @@ def test_pvalue_workers_capped_at_replicates(tmp_path, monkeypatch, capsys):
         ("1,zz,0.5,0.1", "bitmask 'zz' is not hexadecimal"),
         ("1,3,0.5,abc", "theta cell is not a number"),
         ("1,7,0.5,0.1", "bitmask '7' sets bits at or above p=2"),
+        ("1,1,nan,0.1", "theta cell is not finite"),
+        ("1,2,nan,0.1", "theta cell is not finite"),
+        ("1,2,0.5,inf", "theta cell is not finite"),
+        ("1,1,0.5,inf", "theta cell is not finite"),
+        ("1,1,-inf,0.1", "theta cell is not finite"),
+        ("1,1,0.5,-inf", "theta cell is not finite"),
     ],
-    ids=["bad-mask", "bad-theta", "mask-past-p"],
+    ids=["bad-mask", "bad-theta", "mask-past-p", "nan-active", "nan-inactive", "inf-active",
+         "inf-inactive", "-inf-active", "-inf-inactive"],
 )
 def test_diagnose_malformed_chain_exits_two(tmp_path, capsys, monkeypatch, row, fault):
+    """Before, non-finite theta cells were read: diagnose exited 0 with ess equal to the
+    chain length and "psi": NaN, or a bare ValueError with --hist-coord."""
     chain = tmp_path / "chain.csv"
     chain.write_text(f"1,1,0.5,0.1\n\n{row}\n4,2,0.5,0.1\n")
     opened = []
@@ -288,6 +297,7 @@ def test_diagnose_malformed_chain_exits_two(tmp_path, capsys, monkeypatch, row, 
     err = capsys.readouterr().err
     assert "chain CSV line 3: " in err and fault in err
     assert opened == [str(chain)]
+    assert not (tmp_path / "d").exists()
 
 
 def test_diagnose_reports_and_histogram(tmp_path):

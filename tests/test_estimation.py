@@ -33,9 +33,8 @@ from lassodist import (
     validate_state,
 )
 from lassodist.rng import generator
-from lassodist.samplers import active_bitmask
 
-from oracles import ar1_series, cell_probability, soft_threshold
+from oracles import ar1_series, cell_probability, soft_threshold, summarize_chain_by_column
 
 
 def make_chain(thetas, active, **kw):
@@ -395,10 +394,63 @@ def test_summarize_chain_model_freq_matches_running_sums():
             w = w / w.sum()
         expected: dict[str, float] = {}
         for i in range(400):
-            key = active_bitmask(active[i])
+            key = format(sum(1 << int(j) for j in np.flatnonzero(active[i])), "x")
             expected[key] = expected.get(key, 0.0) + float(w[i])
         freq = summarize_chain(chain, log_weights).model_freq
         assert list(freq.items()) == list(expected.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 12),
+       st.sampled_from(["none", "equal", "finite", "-inf"]))
+def test_summarize_chain_block_matches_column_loop(seed, L, p, weighting):
+    """The block summaries equal the per-column reference: selection probabilities,
+    unweighted quantiles and model frequencies exactly, weighted quantiles and
+    conditional moments to 1e-12 of the column's largest |beta|.  Columns are
+    never, once, sometimes or always active, half of them hold tied values, and
+    the -inf weighting zeroes about a third of the states.  Before, NaN, +inf and
+    all -inf log weights gave NaN summaries instead of an error."""
+    gen = np.random.default_rng(seed)
+    tied = np.round(gen.standard_normal((L, p)), 1)
+    spread = gen.standard_normal((L, p)) * gen.uniform(0.1, 10.0, p)
+    thetas = np.where(gen.random(p) < 0.5, tied, spread)
+    role = gen.integers(0, 4, p)  # never, once, sometimes, always active
+    active = ((gen.random((L, p)) < gen.uniform(0.0, 1.0, p)) & (role == 2)) | (role == 3)
+    active[gen.integers(L, size=p), np.arange(p)] |= role == 1
+    lw = None
+    if weighting != "none":
+        lw = np.zeros(L)
+        if weighting != "equal":
+            lw = gen.standard_normal(L) * gen.uniform(0.1, 20.0)
+        if weighting == "-inf":
+            lw[gen.random(L) < 0.3] = -np.inf
+            lw[gen.integers(L)] = 0.0
+    chain = make_chain(thetas, active)
+    s = summarize_chain(chain, lw)
+    select_prob, q_lo, q_hi, cond_mean, cond_sd, model_freq = summarize_chain_by_column(chain, lw)
+
+    np.testing.assert_array_equal(s.select_prob, select_prob)
+    assert list(s.model_freq.items()) == list(model_freq.items())
+    if lw is None:
+        np.testing.assert_array_equal(s.quantile_lo, q_lo)
+        np.testing.assert_array_equal(s.quantile_hi, q_hi)
+    tol = 1e-12 * np.abs(chain.beta_matrix()).max(axis=0)
+    for got, want in ((s.quantile_lo, q_lo), (s.quantile_hi, q_hi),
+                      (s.cond_mean, cond_mean), (s.cond_sd, cond_sd)):
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        assert np.all(np.abs(np.nan_to_num(got - want)) <= tol)
+    weighed = np.ones(L, dtype=bool) if lw is None else lw > -np.inf
+    once = (active.sum(axis=0) == 1) & (active & weighed[:, None]).any(axis=0)
+    assert np.all(s.cond_sd[once] == 0.0)
+
+    if lw is not None:
+        for bad in (np.nan, np.inf):
+            faulty = lw.copy()
+            faulty[gen.integers(L)] = bad
+            with pytest.raises(NumericalError, match=r"nan or \+inf log weights; first at state"):
+                summarize_chain(chain, faulty)
+        with pytest.raises(NumericalError, match="all importance weights are zero"):
+            summarize_chain(chain, np.full(L, -np.inf))
 
 
 def test_summarize_chain_guards():
@@ -430,6 +482,19 @@ def test_diagnostics_ar1_inflation_matches_theory():
 def test_diagnostics_constant_series_rejected():
     with pytest.raises(NumericalError):
         chain_diagnostics(np.ones(100))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_diagnostics_reject_a_non_finite_series(bad):
+    """Before, a NaN gave psi NaN and ess N, and an inf gamma inf, with no error."""
+    series = ar1_series(200, 0.5, np.random.default_rng(4))
+    series[17] = bad
+    with pytest.raises(DataError, match="^statistic series contains non-finite entries$"):
+        chain_diagnostics(series)
+    chain = make_chain(np.ones((20, 2)), np.ones((20, 2), dtype=bool))
+    chain.thetas[3, 1] = bad
+    with pytest.raises(DataError, match="^statistic series contains non-finite entries$"):
+        chain_diagnostics(chain, g=lambda b: np.sum(np.abs(b), axis=-1))
 
 
 def test_diagnostics_needs_enough_states():

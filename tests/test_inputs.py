@@ -41,7 +41,7 @@ from lassodist import (
     spectral_decompose,
 )
 from lassodist.density import _assemble_jacobian, log_det_rowspace_jacobian, scores
-from lassodist.importance import TrialSpec, chain_log_weights, coefficient_statistic
+from lassodist.importance import TrialSpec, chain_log_weights, coefficient_statistic, sample_trial
 
 
 # name -> (argument the message names, regime, call taking the bad vector v).
@@ -59,9 +59,10 @@ ENTRY_POINTS = {
         np.zeros(s.p), np.zeros(s.p, bool), v, Gaussian(1.0), s)),
     "log_density_rowspace": ("beta", "wide", lambda s, v: log_density_rowspace(
         np.zeros(s.p), np.zeros(s.p, bool), v, Gaussian(1.0), s, spectral_decompose(s))),
-    "chain_log_weights": ("beta", "small", lambda s, v: chain_log_weights(
+    "chain_log_weights": ("beta0", "small", lambda s, v: chain_log_weights(
         Chain(np.zeros((2, s.p)), np.zeros((2, s.p), bool), np.arange(2)), s, None, 1.0, 0.3,
         TrialSpec(5.0, 0.2), v)),
+    "sample_trial": ("beta0", "small", lambda s, v: sample_trial(s, v, TrialSpec(5.0, 0.2), 5, 1)),
     "gaussian_moments": ("beta", "small", lambda s, v: gaussian_moments([0], [1.0], v, 1.0, s)),
     "gaussian_moments s_active": ("s_active", "small", lambda s, v: gaussian_moments(
         np.arange(s.p), v, np.zeros(s.p), 1.0, s)),
@@ -153,10 +154,12 @@ def _raw(result):
 @pytest.mark.parametrize("reader", list(READERS))
 def test_active_set_readers_take_indices_or_a_mask(small_spec, wide_spec, reader):
     """Before, the density readers sorted raw indices: a mask raised IndexError, -1 and
-    duplicates ran on another set, and the row-space Jacobian read [-1] as [p - 1]."""
+    duplicates ran on another set, and the row-space Jacobian read [-1] as [p - 1].
+    The error names the set read: inactive_null_basis called its set "active"."""
     p, indices, call = READERS[reader]
     mask = np.isin(np.arange(p), indices)
     assert _raw(call(small_spec, wide_spec, indices)) == _raw(call(small_spec, wide_spec, mask))
+    kind = "inactive" if reader == "inactive_null_basis" else "active"
     for bad in ([-1, 0, 1], [0, 1, p], [0, 1, 1], np.append(mask, False)):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^(an )?{kind}-set "):
             call(small_spec, wide_spec, bad)
