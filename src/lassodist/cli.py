@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -62,36 +63,53 @@ def _load_vector(path: str) -> np.ndarray:
     return np.atleast_1d(arr)
 
 
-def _save_array(path: Path, arr: np.ndarray) -> None:
-    np.savetxt(path, arr, fmt="%.17g", delimiter=",")
+def _strict(node):
+    """``node`` with arrays as lists and every non-finite float as None."""
+    if isinstance(node, np.ndarray):
+        node = node.tolist()
+    if isinstance(node, dict):
+        return {key: _strict(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_strict(value) for value in node]
+    if isinstance(node, float) and not math.isfinite(node):
+        return None
+    return node
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Strict JSON: a NaN or infinite number is written as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[str]) -> None:
-    config = {
-        k: v for k, v in vars(args).items() if k not in ("func", "command") and not k.startswith("_")
-    }
-    _write_json(
-        out_dir / "manifest.json",
-        {
-            "command": args.command,
-            "config": config,
-            "outputs": sorted(outputs + ["manifest.json"]),
-            "version": __version__,
-        },
-    )
+def _publish(args: argparse.Namespace, files: dict, summary: str) -> int:
+    """Create --out-dir, write ``files`` there, then a manifest listing exactly them.
 
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    """Create --out-dir; called after every check, just before the first write."""
+    ``files`` maps each output name to a JSON payload (a dict), a table (an
+    array, written as headerless CSV) or a function that writes the file at
+    the path it is given.  Every command calls this last, so a command that
+    fails a check or a computation writes nothing.
+    """
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, content in files.items():
+        if isinstance(content, dict):
+            _write_json(out / name, content)
+        elif isinstance(content, np.ndarray):
+            np.savetxt(out / name, content, fmt="%.17g", delimiter=",")
+        else:
+            content(out / name)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    manifest = {
+        "command": args.command,
+        "config": config,
+        "outputs": sorted([*files, "manifest.json"]),
+        "version": __version__,
+    }
+    _write_json(out / "manifest.json", manifest)
+    print(f"{summary} to {out}")
+    return 0
 
 
 def _load_design(args: argparse.Namespace):
@@ -183,23 +201,13 @@ def _sampler_config(args: argparse.Namespace, spec, run_seq, center, sigma2: flo
     )
 
 
-def _write_chain_outputs(
-    out: Path,
-    args: argparse.Namespace,
-    chain,
-    lam: float,
-    sigma2: float,
-    echo: dict,
-    outputs: list[str] | tuple[str, ...] = (),
-    noun: str = "states",
-) -> int:
-    """Write chain.csv, chain_meta.json and the manifest of a sampler run."""
-    write_chain_csv(chain, out / "chain.csv")
+def _chain_files(args: argparse.Namespace, chain, lam: float, sigma2: float, echo: dict):
+    """chain.csv and chain_meta.json of a sampler run, for ``_publish``."""
     echo = {"lambda": lam, "sigma2": sigma2, "model": args.model, "seed": args.seed, **echo}
-    write_chain_meta(chain, out / "chain_meta.json", config_echo=echo)
-    _write_manifest(out, args, [*outputs, "chain.csv", "chain_meta.json"])
-    print(f"wrote chain.csv ({len(chain)} {noun}) and chain_meta.json to {out}")
-    return 0
+    return {
+        "chain.csv": lambda path: write_chain_csv(chain, path),
+        "chain_meta.json": lambda path: write_chain_meta(chain, path, config_echo=echo),
+    }
 
 
 def _add_data_args(p: _Parser) -> None:
@@ -224,7 +232,6 @@ def _add_tail_args(p: _Parser) -> None:
     p.add_argument("--stat", choices=["l1", "linf", "abs-coord"], default="l1")
     p.add_argument("--coord", type=int, default=None)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--m-dagger", type=float, default=5.0)
     p.add_argument("--l-pilot", type=int, default=100)
 
@@ -272,13 +279,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         amplitude=args.amplitude,
         seed=args.seed,
     )
-    out = _out_dir(args)
-    _save_array(out / "X.csv", X)
-    _save_array(out / "y.csv", y)
-    _save_array(out / "beta0.csv", beta0)
-    _write_manifest(out, args, ["X.csv", "y.csv", "beta0.csv"])
-    print(f"wrote X.csv ({args.n}x{args.p}), y.csv, beta0.csv to {out}")
-    return 0
+    files = {"X.csv": X, "y.csv": y, "beta0.csv": beta0}
+    return _publish(args, files, f"wrote X.csv ({args.n}x{args.p}), y.csv, beta0.csv")
 
 
 def _cmd_sample_joint(args: argparse.Namespace) -> int:
@@ -286,27 +288,21 @@ def _cmd_sample_joint(args: argparse.Namespace) -> int:
     if spec is None and args.lambda_grid is None:
         raise ConfigError("provide --lambda or --lambda-frac (or just --lambda-grid)")
 
+    files = {}
     if args.lambda_grid is not None:
         grid = lambda_grid(unit, y, num=args.lambda_grid, min_frac=args.lambda_min_frac)
-    if spec is not None:
-        center, sigma2, model, run_seq = _resolve_law(args, spec, y)
-        if args.method == "direct":
-            chain = direct_sample(spec, center, model, args.iters, run_seq)
-        else:
-            config = _sampler_config(args, spec, run_seq, center, sigma2)
-            chain = mh_sample(spec, center, model, config)
-
-    out = _out_dir(args)
-    outputs = []
-    if args.lambda_grid is not None:
-        _save_array(out / "lambda_grid.csv", grid)
-        outputs.append("lambda_grid.csv")
+        files["lambda_grid.csv"] = grid
         if spec is None:
-            _write_manifest(out, args, outputs)
-            print(f"wrote lambda_grid.csv ({args.lambda_grid} values) to {out}")
-            return 0
+            return _publish(args, files, f"wrote lambda_grid.csv ({args.lambda_grid} values)")
+    center, sigma2, model, run_seq = _resolve_law(args, spec, y)
+    if args.method == "direct":
+        chain = direct_sample(spec, center, model, args.iters, run_seq)
+    else:
+        config = _sampler_config(args, spec, run_seq, center, sigma2)
+        chain = mh_sample(spec, center, model, config)
     echo = {"method": args.method, "iters": args.iters, "burnin": args.burnin}
-    return _write_chain_outputs(out, args, chain, spec.lam, sigma2, echo, outputs)
+    files.update(_chain_files(args, chain, spec.lam, sigma2, echo))
+    return _publish(args, files, f"wrote chain.csv ({len(chain)} states) and chain_meta.json")
 
 
 def _cmd_sample_cond(args: argparse.Namespace) -> int:
@@ -326,7 +322,8 @@ def _cmd_sample_cond(args: argparse.Namespace) -> int:
     config = _sampler_config(args, spec, run_seq, center, sigma2)
     chain = conditional_mh_sample(spec, center, model, active, config)
     echo = {"active": active.tolist(), "iters": args.iters, "burnin": args.burnin}
-    return _write_chain_outputs(_out_dir(args), args, chain, spec.lam, sigma2, echo)
+    files = _chain_files(args, chain, spec.lam, sigma2, echo)
+    return _publish(args, files, f"wrote chain.csv ({len(chain)} states) and chain_meta.json")
 
 
 def _null_beta(args: argparse.Namespace, p: int) -> np.ndarray:
@@ -335,6 +332,7 @@ def _null_beta(args: argparse.Namespace, p: int) -> np.ndarray:
     return check_vector("--null-beta", _load_vector(args.null_beta), p)
 
 
+@np.errstate(divide="ignore")  # log10 of a zero estimate is -inf, written as null
 def _tail_payload(args: argparse.Namespace, results, t_stars) -> dict:
     """Fields of pvalue.json and pvalue_multi.json: the per-target ones under
     ``targets``, then the statistic, L, trial and coord they share."""
@@ -342,7 +340,7 @@ def _tail_payload(args: argparse.Namespace, results, t_stars) -> dict:
         "targets": [
             {
                 "estimate": r.estimate,
-                "log10_estimate": float(np.log10(r.estimate)) if r.estimate > 0 else None,
+                "log10_estimate": float(np.log10(r.estimate)),
                 "ess": r.ess,
                 "degenerate": bool(r.degenerate),
                 "lambda_star": r.lambda_star,
@@ -383,12 +381,9 @@ def _cmd_pvalue(args: argparse.Namespace) -> int:
     )
     payload = _tail_payload(args, [res], [args.t_star])
     (target,) = payload.pop("targets")
-    cv = None if res.cv is None or not np.isfinite(res.cv) else res.cv
-    out = _out_dir(args)
-    _write_json(out / "pvalue.json", {**target, **payload, "cv": cv, "replicates": args.replicates})
-    _write_manifest(out, args, ["pvalue.json"])
-    print(f"estimate {res.estimate:.6g} (ess {res.ess:.1f}); wrote pvalue.json to {out}")
-    return 0
+    payload = {**target, **payload, "cv": res.cv, "replicates": args.replicates}
+    summary = f"estimate {res.estimate:.6g} (ess {res.ess:.1f}); wrote pvalue.json"
+    return _publish(args, {"pvalue.json": payload}, summary)
 
 
 def _cmd_pvalue_multi(args: argparse.Namespace) -> int:
@@ -398,11 +393,8 @@ def _cmd_pvalue_multi(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError("cannot parse --lambda-stars / --t-stars") from exc
     results = _tail_study(args, lambda_stars, t_stars)
-    out = _out_dir(args)
-    _write_json(out / "pvalue_multi.json", _tail_payload(args, results, t_stars))
-    _write_manifest(out, args, ["pvalue_multi.json"])
-    print(f"wrote pvalue_multi.json ({len(lambda_stars)} targets) to {out}")
-    return 0
+    files = {"pvalue_multi.json": _tail_payload(args, results, t_stars)}
+    return _publish(args, files, f"wrote pvalue_multi.json ({len(lambda_stars)} targets)")
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
@@ -419,51 +411,23 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         }
 
     statistic = coefficient_statistic(args.g, args.coord, p=chain.p)
-    # Everything is computed before --out-dir is created, so a bad
-    # --hist-coord or --hist-bins leaves no partial results.
     histogram = (
         None if args.hist_coord is None
         else coefficient_histogram(chain, args.hist_coord, args.hist_bins)
     )
     report = chain_diagnostics(chain, statistic, cost_ratio=args.cost_ratio)
-    notes = acceptance_band_report(chain) if args.meta else []
-    stats = summarize_chain(chain)
-    out = _out_dir(args)
-    _write_json(
-        out / "diagnostics.json",
-        {
-            "psi": report.psi,
-            "ess": report.ess,
-            "gamma": report.gamma,
-            "truncation_lag": report.truncation_lag,
-            "n": report.n,
-            "acf_head": [float(v) for v in report.acf[: min(11, report.acf.size)]],
-            "statistic": args.g,
-            "cost_ratio": args.cost_ratio,
-            "acceptance_notes": notes,
-        },
-    )
-    _write_json(
-        out / "summary.json",
-        {
-            "select_prob": stats.select_prob.tolist(),
-            "quantile_lo": stats.quantile_lo.tolist(),
-            "quantile_hi": stats.quantile_hi.tolist(),
-            "cond_mean": [None if np.isnan(v) else float(v) for v in stats.cond_mean],
-            "cond_sd": [None if np.isnan(v) else float(v) for v in stats.cond_sd],
-            "model_freq": stats.model_freq,
-        },
-    )
-    outputs = ["diagnostics.json", "summary.json"]
+    diagnostics = vars(report) | {
+        "acf_head": report.acf[:11],
+        "statistic": args.g,
+        "cost_ratio": args.cost_ratio,
+        "acceptance_notes": acceptance_band_report(chain) if args.meta else [],
+    }
+    del diagnostics["acf"]
+    files = {"diagnostics.json": diagnostics, "summary.json": vars(summarize_chain(chain))}
     if histogram is not None:
-        _save_array(out / "histogram.csv", np.column_stack(histogram))
-        outputs.append("histogram.csv")
-    _write_manifest(out, args, outputs)
-    print(
-        f"psi {report.psi:.3f}, ess {report.ess:.1f}, gamma {report.gamma:.4f}; "
-        f"wrote {', '.join(outputs)} to {out}"
-    )
-    return 0
+        files["histogram.csv"] = np.column_stack(histogram)
+    summary = f"psi {report.psi:.3f}, ess {report.ess:.1f}, gamma {report.gamma:.4f}"
+    return _publish(args, files, f"{summary}; wrote {', '.join(files)}")
 
 
 def _cmd_posterior_check(args: argparse.Namespace) -> int:
@@ -478,7 +442,8 @@ def _cmd_posterior_check(args: argparse.Namespace) -> int:
         spec, y, model, args.L, args.seed, lam=args.decision_lambda
     )
     echo = {"L": args.L, "decision_lambda": args.decision_lambda}
-    return _write_chain_outputs(_out_dir(args), args, chain, spec.lam, sigma2, echo, noun="draws")
+    files = _chain_files(args, chain, spec.lam, sigma2, echo)
+    return _publish(args, files, f"wrote chain.csv ({len(chain)} draws) and chain_meta.json")
 
 
 @functools.cache
@@ -495,54 +460,51 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("gen-data", help="generate an equicorrelated synthetic dataset")
+    def command(name: str, handler, help: str, seed: bool = True) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        if seed:
+            p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out-dir", default=".")
+        p.set_defaults(func=handler)
+        return p
+
+    p = command("gen-data", _cmd_gen_data, "generate an equicorrelated synthetic dataset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--rho", type=float, default=0.25)
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--signal", type=int, default=None, help="number of nonzero coefficients")
     p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("sample-joint", help="sample the joint law of the augmented estimator")
+    p = command(
+        "sample-joint", _cmd_sample_joint, "sample the joint law of the augmented estimator"
+    )
     _add_data_args(p)
     p.add_argument("--method", choices=["mls", "direct"], default="mls")
     _add_model_args(p)
     _add_sampler_args(p)
     p.add_argument("--lambda-grid", type=int, default=None, help="also write a penalty grid CSV")
     p.add_argument("--lambda-min-frac", type=float, default=0.01)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_sample_joint)
 
-    p = sub.add_parser("sample-cond", help="sample conditionally on a fixed active set")
+    p = command("sample-cond", _cmd_sample_cond, "sample conditionally on a fixed active set")
     _add_data_args(p)
     p.add_argument("--active", required=True, help="comma-separated 0-based active indices")
     _add_model_args(p)
     _add_sampler_args(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_sample_cond)
 
-    p = sub.add_parser("pvalue", help="importance-sampled tail probability")
+    p = command("pvalue", _cmd_pvalue, "importance-sampled tail probability")
     _add_tail_args(p)
     p.add_argument("--lambda-star", type=float, required=True)
     p.add_argument("--t-star", type=float, required=True)
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_pvalue)
 
-    p = sub.add_parser("pvalue-multi", help="several tail targets sharing one trial sample")
+    p = command("pvalue-multi", _cmd_pvalue_multi, "several tail targets sharing one trial sample")
     _add_tail_args(p)
     p.add_argument("--lambda-stars", required=True, help="comma-separated target penalties")
     p.add_argument("--t-stars", required=True, help="comma-separated thresholds")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_pvalue_multi)
 
-    p = sub.add_parser("diagnose", help="chain summaries and efficiency diagnostics")
+    p = command("diagnose", _cmd_diagnose, "chain summaries and efficiency diagnostics", seed=False)
     p.add_argument("--chain", required=True, help="chain CSV from a sampler run")
     p.add_argument("--meta", default=None, help="chain_meta.json for acceptance notes")
     p.add_argument("--g", choices=["l1", "linf", "abs-coord"], default="l1")
@@ -550,17 +512,12 @@ def build_parser() -> _Parser:
     p.add_argument("--cost-ratio", type=float, default=1.0)
     p.add_argument("--hist-coord", type=int, default=None)
     p.add_argument("--hist-bins", type=int, default=50)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_diagnose)
 
-    p = sub.add_parser("posterior-check", help="posterior decision draws for comparison")
+    p = command("posterior-check", _cmd_posterior_check, "posterior decision draws for comparison")
     _add_data_args(p)
     _add_model_args(p, elliptical=False)
     p.add_argument("--decision-lambda", type=float, default=None, help="override the decision penalty")
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_posterior_check)
 
     return parser
 

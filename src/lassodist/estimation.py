@@ -20,6 +20,7 @@ from .density import (
     _assemble_jacobian,
     gaussian_moments,
     radial_log_norm,
+    sample_errors,
 )
 from .errors import ConfigError, DataError, NumericalError, check_positive, check_vector
 from .importance import _relative_weights, _statistic_values
@@ -194,7 +195,6 @@ def sign_consistency_prob(
     draw costs one linear solve rather than an optimization.  Valid in
     both regimes as long as the active Gram block is nonsingular.
     """
-    check_positive("noise variance sigma2", sigma2, zero_ok=True)
     if L < 1:
         raise ConfigError("need at least one draw")
     beta0 = check_vector("beta0", beta0, spec.p)
@@ -209,13 +209,12 @@ def sign_consistency_prob(
     jac = _assemble_jacobian(support, spec)
 
     rng = generator(seed)
-    sd = math.sqrt(sigma2)
     hits = 0
     block = 100_000
     done = 0
     while done < L:
         m = min(block, L - done)
-        eps = sd * rng.standard_normal((m, spec.n))
+        eps = sample_errors(Gaussian(sigma2), spec.n, m, rng)
         scores = eps @ spec.X / spec.n
         z = np.linalg.solve(jac, scores.T).T + mu
         ok = np.all(np.abs(z[:, k:]) <= 1.0, axis=1)
@@ -315,6 +314,14 @@ def _interp_columns(q: float, cdf: np.ndarray, values: np.ndarray) -> np.ndarray
     return np.where(inside, slope * (q - x0) + v0, v0)
 
 
+def _finite_betas(chain: Chain) -> np.ndarray:
+    """The (L, p) coefficient block; ``DataError`` names the first row with a non-finite theta."""
+    finite = np.isfinite(chain.thetas).all(axis=1)
+    if not finite.all():
+        raise DataError(f"chain row {int(np.argmin(finite))} has a non-finite theta")
+    return chain.beta_matrix()
+
+
 def summarize_chain(chain: Chain, log_weights: np.ndarray | None = None) -> SummaryStats:
     """Selection probabilities, coefficient quantiles and model frequencies.
 
@@ -325,7 +332,7 @@ def summarize_chain(chain: Chain, log_weights: np.ndarray | None = None) -> Summ
     L = len(chain)
     if L == 0:
         raise DataError("empty chain")
-    betas = chain.beta_matrix()
+    betas = _finite_betas(chain)
     if log_weights is None:
         w = np.full(L, 1.0 / L)
         q_lo, q_hi = np.quantile(betas, [0.025, 0.975], axis=0)
@@ -434,7 +441,7 @@ def coefficient_histogram(
         raise ConfigError(f"coordinate must be in [0, {chain.p})")
     if bins < 1:
         raise ConfigError("need at least one histogram bin")
-    values = chain.beta_matrix()[:, coord]
+    values = _finite_betas(chain)[:, coord]
     counts, edges = np.histogram(values, bins=bins)
     centers = (edges[:-1] + edges[1:]) / 2.0
     return centers, counts / counts.sum()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .density import Gaussian, _score_parts, score_qform
+from .density import Gaussian, _score_parts, sample_errors, score_qform
 from .errors import ConfigError, DataError, NumericalError, check_positive, check_vector
 from .problem import ProblemSpec, SpectralBasis, spectral_decompose
 from .rng import Seed, generator, seed_sequence
@@ -84,7 +84,7 @@ def tune_trial(
     if l_pilot < 1:
         raise ConfigError("need at least one pilot draw")
     sigma2_dagger = m_dagger * sigma2_0
-    pilots = math.sqrt(sigma2_dagger) * generator(seed).standard_normal((l_pilot, spec.n))
+    pilots = sample_errors(Gaussian(sigma2_dagger), spec.n, l_pilot, generator(seed))
     thresholds = lambda_max(spec, pilots)
     lam_dagger = float(np.quantile(thresholds, 0.25))
     if lam_dagger <= 0:

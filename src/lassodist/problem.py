@@ -272,6 +272,8 @@ def synthetic_dataset(
     if not -1.0 / max(p - 1, 1) < rho < 1.0:
         raise ConfigError("rho outside the positive-definite range")
     check_positive("noise variance sigma2", sigma2, zero_ok=True)
+    if not math.isfinite(amplitude):  # a negative amplitude flips the signs
+        raise ConfigError(f"amplitude must be finite, got {amplitude}")
     if signal is None:
         signal = min(10, p)
     if not 0 <= signal <= p:

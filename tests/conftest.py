@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ def random_instance(gen: np.random.Generator, n: int, p: int, lam: float | None 
     if lam is None:
         lam = float(gen.uniform(0.05, 0.6))
     return build_problem(X, weights, lam), y
+
+
+def strict_json(text):
+    """Parse JSON text, failing on NaN, Infinity and -Infinity, which JSON has no words for."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def duplicated_column_design(seed):

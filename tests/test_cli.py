@@ -13,7 +13,7 @@ from lassodist import cli
 from lassodist.cli import main
 from lassodist.samplers import read_chain_csv
 
-from conftest import duplicated_column_design
+from conftest import duplicated_column_design, strict_json
 
 
 def run(*argv):
@@ -551,12 +551,39 @@ def test_failing_commands_leave_a_fresh_out_dir_absent(tmp_path, capsys):
         (2, "pvalue", *tail, "--null-beta", short),
         (1, "diagnose", "--chain", run_dir / "chain.csv", "--hist-coord", 9),
         (2, "diagnose", "--chain", tmp_path / "missing.csv"),
+        # A non-finite amplitude wrote an all-NaN y.csv and beta0.csv.
+        (1, "gen-data", "--n", 20, "--p", 5, "--seed", 3, "--amplitude", "nan"),
+        (1, "gen-data", "--n", 20, "--p", 5, "--seed", 3, "--amplitude", "inf"),
     ]
     for i, (code, *argv) in enumerate(failing):
         out = tmp_path / f"o{i}"
         assert run(*argv, "--out-dir", out) == code, argv
         assert "error:" in capsys.readouterr().err
         assert not out.exists(), argv
+
+
+def test_every_json_output_is_strict(tmp_path):
+    """Non-finite numbers are written as null: gamma of an anti-correlated chain
+    (psi < 0) and the echo of an unused --dof nan were Infinity and NaN."""
+    steps = np.arange(200)
+    thetas = np.where(steps % 2, 1.0, 2.0)[:, None].repeat(2, axis=1)
+    lassodist.samplers.write_chain_csv(
+        lassodist.samplers.Chain(thetas, np.ones((200, 2), dtype=bool), steps),
+        tmp_path / "alternating.csv",
+    )
+    diag = tmp_path / "diag"
+    assert run("diagnose", "--chain", tmp_path / "alternating.csv", "--out-dir", diag) == 0
+    data = gen_dataset(tmp_path)
+    joint = tmp_path / "joint"
+    assert run("sample-joint", "--x", data / "X.csv", "--y", data / "y.csv", "--lambda", 0.3,
+               "--model", "gaussian", "--dof", "nan", "--sigma2", 1.0, *SHORT_CHAIN,
+               "--seed", 1, "--out-dir", joint) == 0
+    docs = {path: strict_json(path.read_text()) for path in [*diag.glob("*.json"),
+                                                              *joint.glob("*.json")]}
+    assert len(docs) == 5
+    report = docs[diag / "diagnostics.json"]
+    assert report["psi"] < 0 and report["gamma"] is None
+    assert docs[joint / "manifest.json"]["config"]["dof"] is None
 
 
 def _digest(directory):

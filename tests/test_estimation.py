@@ -462,6 +462,21 @@ def test_summarize_chain_guards():
         summarize_chain(chain2, log_weights=np.zeros(2))
 
 
+@pytest.mark.parametrize("active_cell", [True, False])
+@pytest.mark.parametrize(
+    "summary", [summarize_chain, lambda chain: coefficient_histogram(chain, 0)],
+    ids=["summarize_chain", "coefficient_histogram"],
+)
+def test_chain_summaries_reject_a_nonfinite_theta(summary, active_cell):
+    """A hand-built chain skips read_chain_csv's check; before, summarize_chain
+    returned NaN summaries and coefficient_histogram raised numpy's ValueError."""
+    thetas = np.full((20, 2), 0.5)
+    active = np.ones((20, 2), dtype=bool)
+    thetas[7, 0], active[7, 0] = np.nan, active_cell
+    with pytest.raises(DataError, match="chain row 7 has a non-finite theta"):
+        summary(make_chain(thetas, active))
+
+
 def test_diagnostics_iid_series_has_unit_inflation():
     series = np.random.default_rng(10).standard_normal(100_000)
     rep = chain_diagnostics(series)

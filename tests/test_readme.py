@@ -3,7 +3,9 @@
 Every command of README steps 1-7 runs on the README data at small sizes
 (200 sweeps, L = 500), then each variation runs as a change to step 2.
 Each must exit 0 and write a manifest that lists exactly the files it
-wrote: in a fresh ``--out-dir`` those are all the files present.
+wrote (in a fresh ``--out-dir`` those are all the files present), and
+every JSON file it writes must parse as strict JSON, with no NaN or
+Infinity.
 """
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ import json
 from pathlib import Path
 
 from lassodist.cli import main
+
+from conftest import strict_json
 
 
 def _files(out: Path) -> dict[str, bytes]:
@@ -64,3 +68,4 @@ def test_readme_steps_and_variations_run(tmp_path):
         assert manifest["command"] == argv[0], name
         written = {f for f, data in after.items() if before.get(f) != data}
         assert set(manifest["outputs"]) == written, name
+        assert all(strict_json(after[f]) for f in written if f.endswith(".json")), name
